@@ -4,9 +4,10 @@
 class DegenerateStatistic(ValueError):
     """A weighted neighbor sum is undefined for this sample.
 
-    Raised when a negative exponent meets a zero j-th neighbor distance
-    (tied points), or when a weight function returns a non-finite value.
-    Callers running Monte Carlo loops typically resample.
+    Raised when a summand or the sum is not finite: a negative exponent
+    meeting a zero j-th neighbor distance (tied points), a weight function
+    returning a non-finite value, or a sum that overflows. Callers running
+    Monte Carlo loops typically resample.
     """
 
 

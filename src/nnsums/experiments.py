@@ -54,7 +54,6 @@ class EstimatorConfig:
     model: DensityModel
     j: int = 1
     alpha: float | None = None
-    phi: str | None = None
     n_grid: tuple = ()
     replications: int = 1
     seed: int = 0
@@ -77,13 +76,16 @@ class EstimatorConfig:
             raise ConfigError(f"n_grid must be strictly increasing, got {grid}")
         if self.alpha is not None and not math.isfinite(self.alpha):
             raise ConfigError(f"alpha must be finite, got {self.alpha}")
-        if self.phi is not None:
-            resolve_phi(self.phi)
 
     @classmethod
     def from_dict(cls, cfg: dict, seed_override: int | None = None) -> "EstimatorConfig":
         if not isinstance(cfg, dict):
             raise ConfigError("configuration must be a JSON object")
+        if "phi" in cfg:
+            raise ConfigError(
+                "the Monte Carlo runs take a power 'alpha', not 'phi'; "
+                "weight functions run through 'estimate' and 'limit'"
+            )
         model = model_from_config(cfg)
         seed = cfg.get("seed", 0) if seed_override is None else seed_override
         alpha = cfg.get("alpha")
@@ -91,7 +93,6 @@ class EstimatorConfig:
             model=model,
             j=cfg.get("j", 1),
             alpha=float(alpha) if alpha is not None else None,
-            phi=cfg.get("phi"),
             n_grid=tuple(cfg.get("n_grid", ())),
             replications=cfg.get("replications", 1),
             seed=seed,
@@ -307,11 +308,11 @@ class ExperimentResult:
         raise KeyError(n)
 
 
-def _replicate_value(model, n, j, alpha, seed, seed_n, rep) -> float:
-    """One replication of the normalized power sum, resampling tied draws."""
+def _replicate_value(model, n, j, alpha, seed, rep) -> float:
+    """One replication of the power sum, resampling degenerate draws."""
     last = None
     for attempt in range(_MAX_RESAMPLES + 1):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, seed_n, rep, attempt)))
+        rng = np.random.default_rng(np.random.SeedSequence((seed, n, rep, attempt)))
         xs = PointSet(model.sample(rng, n))
         try:
             return statistic_power(xs, j, alpha)
@@ -329,6 +330,33 @@ def _summarize(values: np.ndarray, n: int, target, q: int) -> SizeSummary:
         lq = float(np.mean(np.abs(values - target) ** q))
     se = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
     return SizeSummary(n=n, mean=mean, lq_error=lq, std_error=se)
+
+
+def _sweep(result, model, sizes, alpha, replications, seed, scale=1.0) -> None:
+    """Run every replication at each sample size into ``result``.
+
+    Each value is the power sum with exponent ``alpha`` and rank
+    ``result.j``, divided by scale * n. ``result`` gains one record per
+    (n, replication) and one summary per n, whose L^q error is taken
+    against ``result.target`` when that is a finite float.
+    """
+    for n in sizes:
+        vals = np.array(
+            [
+                _replicate_value(model, n, result.j, alpha, seed, rep) / (scale * n)
+                for rep in range(replications)
+            ]
+        )
+        for rep, v in enumerate(vals):
+            result.records.append(RunRecord(n=n, replication=rep, value=float(v)))
+        result.summaries.append(_summarize(vals, n, result.target, result.q))
+
+
+def _increasing_trend(trend: dict, means: list) -> None:
+    if len(means) >= 2:
+        mk = mann_kendall_increasing(means)
+        trend["increasing_s"] = mk.s
+        trend["increasing_p"] = mk.p_increasing
 
 
 def run_convergence(config: EstimatorConfig, force: bool = False) -> ExperimentResult:
@@ -361,17 +389,7 @@ def run_convergence(config: EstimatorConfig, force: bool = False) -> ExperimentR
         q=config.q,
         target=float(target),
     )
-    for n in config.n_grid:
-        vals = np.array(
-            [
-                _replicate_value(model, n, config.j, alpha, config.seed, n, rep)
-                / (gam * n)
-                for rep in range(config.replications)
-            ]
-        )
-        for rep, v in enumerate(vals):
-            result.records.append(RunRecord(n=n, replication=rep, value=float(v)))
-        result.summaries.append(_summarize(vals, n, float(target), config.q))
+    _sweep(result, model, config.n_grid, alpha, config.replications, config.seed, scale=gam)
     errors = [s.lq_error for s in result.summaries if s.lq_error is not None]
     if len(errors) >= 2:
         mk = mann_kendall_increasing([-e for e in errors])
@@ -417,30 +435,19 @@ def run_divergence(
         q=1,
         target="divergent",
     )
-    means = []
-    proxies = []
-    for k, n in zip(schedule.k_grid, schedule.n_of_k):
-        vals = np.array(
-            [
-                _replicate_value(model, n, j, alpha, seed, n, rep) / n
-                for rep in range(replications)
-            ]
-        )
-        for rep, v in enumerate(vals):
-            result.records.append(RunRecord(n=n, replication=rep, value=float(v)))
-        result.summaries.append(_summarize(vals, n, None, 1))
-        means.append(float(vals.mean()))
-        proxies.append(model.annulus_mass(k) ** (1.0 - alpha / d) * 2.0 ** (k * alpha))
+    _sweep(result, model, schedule.n_of_k, alpha, replications, seed)
+    means = [s.mean for s in result.summaries]
     trend: dict = {
         "k_grid": list(schedule.k_grid),
         "n_of_k": list(schedule.n_of_k),
         "means": means,
-        "lower_bound_proxy": proxies,
+        "lower_bound_proxy": [
+            model.annulus_mass(k) ** (1.0 - alpha / d) * 2.0 ** (k * alpha)
+            for k in schedule.k_grid
+        ],
     }
+    _increasing_trend(trend, means)
     if len(means) >= 2:
-        mk = mann_kendall_increasing(means)
-        trend["increasing_s"] = mk.s
-        trend["increasing_p"] = mk.p_increasing
         trend["last_over_first"] = means[-1] / means[0] if means[0] else math.inf
     result.trend = trend
     return schedule, result
@@ -468,7 +475,7 @@ def run_entropy(config: EstimatorConfig, rho: float, force: bool = False) -> Ent
         raise InvalidRho(f"rho must be positive and != 1, got {rho}")
     d = config.model.dim
     alpha = d * (1.0 - rho)
-    conv = run_convergence(replace(config, alpha=alpha, phi=None), force=force)
+    conv = run_convergence(replace(config, alpha=alpha), force=force)
     conv.experiment = "entropy"
     top = conv.summaries[-1]
     i_hat = top.mean
@@ -521,21 +528,8 @@ def run_moment_probe(config: EstimatorConfig, p: float) -> ExperimentResult:
         target=None,
         trend={"p": p, "exponent": exponent},
     )
-    means = []
-    for n in config.n_grid:
-        vals = np.array(
-            [
-                _replicate_value(model, n, config.j, exponent, config.seed, n, rep) / n
-                for rep in range(config.replications)
-            ]
-        )
-        for rep, v in enumerate(vals):
-            result.records.append(RunRecord(n=n, replication=rep, value=float(v)))
-        result.summaries.append(_summarize(vals, n, None, config.q))
-        means.append(float(vals.mean()))
+    _sweep(result, model, config.n_grid, exponent, config.replications, config.seed)
+    means = [s.mean for s in result.summaries]
     result.trend["means"] = means
-    if len(means) >= 2:
-        mk = mann_kendall_increasing(means)
-        result.trend["increasing_s"] = mk.s
-        result.trend["increasing_p"] = mk.p_increasing
+    _increasing_trend(result.trend, means)
     return result

@@ -60,17 +60,12 @@ class LimitConstantSpec:
 
 
 def gamma_constant(d: int, j: int, alpha: float) -> float:
-    """omega_d^(-alpha/d) * Gamma(j + alpha/d) / Gamma(j).
+    """omega_d^(-alpha/d) * Gamma(j + alpha/d) / Gamma(j): the Poisson
+    neighbor moment E[D_j^alpha] at unit intensity.
 
     Evaluated in log space so large neighbor ranks do not overflow.
     """
-    spec = LimitConstantSpec(d, j, alpha)
-    shape = spec.j + spec.alpha / spec.d
-    return math.exp(
-        -(spec.alpha / spec.d) * _log_unit_ball_volume(spec.d)
-        + math.lgamma(shape)
-        - math.lgamma(spec.j)
-    )
+    return poisson_nn_moment(1.0, d, j, alpha)
 
 
 def poisson_nn_tail(tau: float, d: int, j: int, t) -> float | np.ndarray:

@@ -1,11 +1,12 @@
 """Euclidean minimum spanning trees and weighted edge functionals.
 
-Implements Prim's algorithm over the full distance matrix (exact, fine up
-to a few thousand points) with a fixed lexicographic tie-break so the
+Implements Prim's algorithm with a fixed lexicographic tie-break so the
 edge list is deterministic even on degenerate configurations such as grid
-points. Alongside the tree sits the unnormalized neighbor power sum
-L^b = sum_x D_j(x)^b, which shares the tree's subadditivity geometry and
-is the quantity the growth diagnostics are phrased in.
+points. Each row of squared distances is computed when its vertex joins
+the tree, so memory is O(n) and time O(n^2). Alongside the tree sits the
+unnormalized neighbor power sum L^b = sum_x D_j(x)^b, which shares the
+tree's subadditivity geometry and is the quantity the growth diagnostics
+are phrased in.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .neighbors import knn_distances, _pairwise_sq_dists
+from .neighbors import _sq_dists_to, _weighted_sum
 from .points import PointSet
 
 
@@ -56,10 +57,10 @@ def build_mst(xs: PointSet) -> EdgeList:
     n = len(xs)
     if n <= 1:
         return EdgeList(n_vertices=n, edges=())
-    sq = _pairwise_sq_dists(xs.coords)
+    coords = xs.coords
     in_tree = np.zeros(n, dtype=bool)
     in_tree[0] = True
-    best_sq = sq[0].copy()
+    best_sq = _sq_dists_to(coords, coords[0])
     best_parent = np.zeros(n, dtype=int)
     edges = []
     for _ in range(n - 1):
@@ -78,7 +79,7 @@ def build_mst(xs: PointSet) -> EdgeList:
         i, j = _pair(parent, pick)
         edges.append((i, j, math.sqrt(float(best_sq[pick]))))
         in_tree[pick] = True
-        cand = sq[pick]
+        cand = _sq_dists_to(coords, coords[pick])
         better = ~in_tree & (cand < best_sq)
         best_sq[better] = cand[better]
         best_parent[better] = pick
@@ -100,11 +101,7 @@ def l_power_nn(xs: PointSet, b: float, j: int = 1) -> float:
     """Unnormalized neighbor power sum: sum over points of D_j(x)^b.
 
     Zero when the set has at most j points (every D_j is 0 by convention).
+    Raises :class:`~nnsums.errors.DegenerateStatistic` when a summand or the
+    sum is not finite, as for b < 0 on tied points.
     """
-    n = len(xs)
-    if n <= j:
-        return 0.0
-    dists = knn_distances(xs, j)
-    if b == 0.0:
-        return float(n)
-    return float(np.sum(dists**b))
+    return _weighted_sum(xs, j, lambda t: t**b, None, scale=False)

@@ -1,14 +1,15 @@
 """Exact j-th nearest-neighbor distances and power-weighted sums.
 
-Every distance is computed as an exact squared distance with a single
-square root at the end, and the squared distances are accumulated
-coordinate by coordinate in both the brute-force path and the kd-tree
-path. The two paths therefore return bitwise-identical values, which the
-test suite checks at scale.
+Every neighbor query goes through one kd-tree (:class:`NeighborIndex`).
+:func:`nn_distance_bruteforce` is kept as the test oracle: it accumulates
+exact squared distances coordinate by coordinate, as the tree's distance
+kernel does, and takes a single square root at the end, so the two return
+bitwise-identical values, which the test suite checks at scale.
 
 The central statistic is the sum over the sample of (n^{1/d} D_j)^alpha,
 where D_j is the distance from a point to its j-th nearest other point;
-D_j is defined as 0 when the set has at most j points.
+D_j is defined as 0 when the set has at most j points. It and its
+phi-weighted form share one reduction, :func:`_weighted_sum`.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from .points import PointSet
 
 # kd-tree: median split on the widest-spread coordinate, leaf size 16.
 _LEAF_SIZE = 16
-# Below this size a vectorized O(n^2) scan beats building the tree.
-_BRUTE_FORCE_LIMIT = 1024
 
 
 @dataclass(frozen=True)
@@ -55,19 +54,10 @@ class PowerWeight:
 
 def _sq_dists_to(points: np.ndarray, q: np.ndarray) -> np.ndarray:
     # Coordinate-by-coordinate accumulation; matches the kd-tree's distance
-    # kernel op for op so both paths round identically.
+    # kernel op for op so the oracle and the tree round identically.
     acc = np.zeros(points.shape[0])
     for c in range(points.shape[1]):
         t = points[:, c] - q[c]
-        acc += t * t
-    return acc
-
-
-def _pairwise_sq_dists(points: np.ndarray) -> np.ndarray:
-    n = points.shape[0]
-    acc = np.zeros((n, n))
-    for c in range(points.shape[1]):
-        t = points[:, c, None] - points[None, :, c]
         acc += t * t
     return acc
 
@@ -129,37 +119,59 @@ def build_index(xs: PointSet) -> NeighborIndex:
     return NeighborIndex(xs)
 
 
+def _index_over(xs: PointSet, index: NeighborIndex | None) -> NeighborIndex:
+    if index is None:
+        return NeighborIndex(xs)
+    if index.points is not xs:
+        raise ValueError("index was built over a different point set")
+    return index
+
+
 def nn_distance_indexed(xs: PointSet, q: NeighborQuery, index: NeighborIndex | None = None) -> float:
     """kd-tree accelerated version of :func:`nn_distance_bruteforce`.
 
     Bitwise-equal to the brute-force result for the same inputs. Pass a
     prebuilt ``index`` when issuing many queries against one set.
     """
-    if index is None:
-        index = NeighborIndex(xs)
-    elif index.points is not xs:
-        raise ValueError("index was built over a different point set")
-    return index.nn_distance(q)
+    return _index_over(xs, index).nn_distance(q)
 
 
 def knn_distances(xs: PointSet, j: int, index: NeighborIndex | None = None) -> np.ndarray:
-    """j-th neighbor distances for all points, exact, fastest available path."""
+    """j-th neighbor distances for all points, exact, from the kd-tree.
+
+    Pass a prebuilt ``index`` over ``xs`` to reuse its tree.
+    """
     if j < 1:
         raise ValueError(f"neighbor rank j must be >= 1, got {j}")
+    return _index_over(xs, index).knn_distances(j)
+
+
+def _weighted_sum(xs: PointSet, j: int, weight, index: NeighborIndex | None, scale: bool) -> float:
+    """Sum of weight(t) over the j-th neighbor distances t of the sample.
+
+    With ``scale`` each distance is first multiplied by n^{1/d}. ``weight``
+    maps the array of distances to an array of summands. The sum is 0 when
+    the set has at most j points. A non-finite summand (a negative power of
+    a tied point's zero distance, say) or a non-finite total raises
+    :class:`DegenerateStatistic`.
+    """
     n = len(xs)
     if n <= j:
-        return np.zeros(n)
-    if index is not None:
-        return index.knn_distances(j)
-    if n <= _BRUTE_FORCE_LIMIT:
-        sq = _pairwise_sq_dists(xs.coords)
-        return np.sqrt(np.partition(sq, j, axis=1)[:, j])
-    return NeighborIndex(xs).knn_distances(j)
-
-
-def _normalized_distances(xs: PointSet, j: int, index: NeighborIndex | None) -> np.ndarray:
-    n = len(xs)
-    return float(n) ** (1.0 / xs.dim) * knn_distances(xs, j, index=index)
+        return 0.0
+    dists = knn_distances(xs, j, index=index)
+    if scale:
+        dists = float(n) ** (1.0 / xs.dim) * dists
+    with np.errstate(all="ignore"):
+        vals = weight(dists)
+        total = float(np.sum(vals))
+    bad = int(np.count_nonzero(~np.isfinite(vals)))
+    if bad:
+        raise DegenerateStatistic(
+            f"{bad} of {n} summands not finite (tied points under a negative power?)"
+        )
+    if not math.isfinite(total):
+        raise DegenerateStatistic(f"the sum of {n} finite summands overflowed")
+    return total
 
 
 def statistic_power(
@@ -180,41 +192,24 @@ def statistic_power(
     alpha = float(alpha)
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
-    n = len(xs)
-    if n <= j:
-        return 0.0
-    if alpha == 0.0:
-        # each summand is (n^{1/d} D_j)^0 = 1, including at ties
-        return float(n)
-    scaled = _normalized_distances(xs, j, index)
-    if alpha < 0.0:
-        zeros = int(np.count_nonzero(scaled == 0.0))
-        if zeros:
-            raise DegenerateStatistic(
-                f"{zeros} zero j-th neighbor distance(s) with alpha={alpha} < 0"
-            )
-    total = float(np.sum(scaled**alpha))
-    if not math.isfinite(total):
-        raise DegenerateStatistic(f"power sum overflowed for alpha={alpha}")
-    return total
+    return _weighted_sum(xs, j, lambda t: t**alpha, index, scale=True)
 
 
 def statistic_phi(xs: PointSet, j: int, phi, index: NeighborIndex | None = None) -> float:
     """Sum over the sample of phi(n^{1/d} D_j) for a weight function phi.
 
     Agrees with :func:`statistic_power` for phi(t) = t**alpha wherever both
-    are defined. Non-finite phi values raise :class:`DegenerateStatistic`.
+    are defined. ``phi`` may act on arrays or on single floats. Non-finite
+    phi values raise :class:`DegenerateStatistic`.
     """
-    n = len(xs)
-    if n <= j:
-        return 0.0
-    scaled = _normalized_distances(xs, j, index)
-    try:
-        vals = np.asarray(phi(scaled), dtype=float)
-        if vals.shape != scaled.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.fromiter((float(phi(t)) for t in scaled), dtype=float, count=n)
-    if not np.all(np.isfinite(vals)):
-        raise DegenerateStatistic("weight function returned a non-finite value")
-    return float(np.sum(vals))
+
+    def weight(scaled: np.ndarray) -> np.ndarray:
+        try:
+            vals = np.asarray(phi(scaled), dtype=float)
+            if vals.shape == scaled.shape:
+                return vals
+        except (TypeError, ValueError):
+            pass
+        return np.fromiter((float(phi(t)) for t in scaled), dtype=float, count=len(scaled))
+
+    return _weighted_sum(xs, j, weight, index, scale=True)

@@ -212,6 +212,14 @@ def test_estimate_rejects_both_weights(tmp_path, capsys):
     assert main(["estimate", "--config", cfg]) == 2
 
 
+def test_converge_rejects_phi_key(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "c.json", dict(UNIFORM_CONVERGE, phi="log1p"))
+    assert main(["converge", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "'estimate' and 'limit'" in err
+
+
 def test_bad_configs_exit_nonzero(tmp_path, capsys):
     cfg = _write_config(tmp_path, "bad.json", {"model": "nope", "d": 2, "alpha": 1.0})
     assert main(["check", "--config", cfg]) == 2

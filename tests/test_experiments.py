@@ -54,8 +54,12 @@ def test_config_rejects_bad_counts():
         _config(seed=-1)
     with pytest.raises(ConfigError):
         _config(alpha=math.nan)
-    with pytest.raises(ConfigError):
-        _config(phi="nope")
+    # weight functions run only through estimate and limit; a phi key here
+    # would otherwise be accepted and then ignored
+    with pytest.raises(ConfigError, match="'estimate' and 'limit'"):
+        EstimatorConfig.from_dict({"model": "gaussian", "d": 2, "alpha": 1.0, "phi": "nope"})
+    with pytest.raises(ConfigError, match="'estimate' and 'limit'"):
+        EstimatorConfig.from_dict({"model": "gaussian", "d": 2, "alpha": 1.0, "phi": "log1p"})
 
 
 def test_config_from_dict():

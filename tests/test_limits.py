@@ -69,6 +69,13 @@ def test_gamma_constant_invalid_argument():
         LimitConstantSpec(d=3, j=1, alpha=-3.0)
 
 
+def test_gamma_constant_is_unit_intensity_moment():
+    for d in (1, 2, 3, 7):
+        for j in (1, 2, 5, 29):
+            for alpha in (-0.5 * d, -0.3, 0.0, 0.5, 1.0, 2.5, 6.0):
+                assert gamma_constant(d, j, alpha) == poisson_nn_moment(1.0, d, j, alpha)
+
+
 def test_gamma_constant_large_j_stable():
     v = gamma_constant(3, 400, 1.5)
     assert math.isfinite(v) and v > 0

@@ -1,11 +1,13 @@
 import itertools
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import minimum_spanning_tree as scipy_mst
 
-from nnsums import PointSet, build_mst, l_phi, l_power_nn
+from nnsums import DegenerateStatistic, PointSet, build_mst, l_phi, l_power_nn
 
 
 def _distance_matrix(pts: np.ndarray) -> np.ndarray:
@@ -140,6 +142,19 @@ def test_edge_list_csv(tmp_path):
     assert rows == ["0,1,1.0", "1,2,2.0"]
 
 
+def test_build_mst_memory_is_linear():
+    # an n x n matrix of float64 alone is 69 MiB at n = 3000
+    xs = PointSet(np.random.default_rng(8).random((3000, 2)))
+    tracemalloc.start()
+    try:
+        tree = build_mst(xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tree.edges) == 2999
+    assert peak < 10 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # weighted edge sums
 
@@ -176,6 +191,16 @@ def test_l_power_nn_line():
 def test_l_power_nn_small_card_convention():
     assert l_power_nn(PointSet([[1.0, 2.0]]), 1.0, j=1) == 0.0
     assert l_power_nn(PointSet([[1.0, 2.0], [3.0, 4.0]]), 2.0, j=2) == 0.0
+
+
+def test_l_power_nn_ties_negative_power_raises_without_warning():
+    ties = PointSet([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateStatistic):
+            l_power_nn(ties, -1.0)
+        # b = 0 counts the points, ties included
+        assert l_power_nn(ties, 0.0) == 3.0
 
 
 def test_growth_bound():

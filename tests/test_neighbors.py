@@ -90,6 +90,35 @@ def test_index_refuses_foreign_point_set():
         nn_distance_indexed(other, NeighborQuery(j=1, index=0), index)
 
 
+def test_knn_distances_refuses_foreign_index():
+    other = PointSet([0.0, 2.0, 5.0])
+    index = build_index(LINE)
+    with pytest.raises(ValueError, match="different point set"):
+        knn_distances(other, 1, index)
+    # an index over an equal but distinct set is refused too
+    with pytest.raises(ValueError, match="different point set"):
+        knn_distances(PointSet(LINE.coords), 1, index)
+    np.testing.assert_array_equal(knn_distances(LINE, 1, index), [1.0, 1.0, 2.0])
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+@pytest.mark.parametrize("n", [2, 3, 17, 100, 1024, 1025])
+def test_knn_distances_equal_bruteforce_with_duplicates(n, d):
+    # duplicated points put exact zeros and ties in play
+    rng = np.random.default_rng([n, d])
+    pts = rng.random((n, d))
+    dup = rng.integers(0, n, size=n // 3)
+    pts[rng.integers(0, n, size=n // 3)] = pts[dup]
+    xs = PointSet(pts)
+    for j in (1, 2):
+        expected = np.array(
+            [nn_distance_bruteforce(xs, NeighborQuery(j=j, index=i)) for i in range(n)]
+        )
+        got = knn_distances(xs, j)
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
+
+
 def test_monotone_in_j():
     rng = np.random.default_rng(3)
     xs = PointSet(rng.normal(size=(60, 2)))
@@ -177,6 +206,15 @@ def test_phi_non_finite_raises():
     with np.errstate(divide="ignore"):
         with pytest.raises(DegenerateStatistic):
             statistic_phi(xs, 1, lambda t: 1.0 / t)
+
+
+def test_power_sum_overflow_raises():
+    # every summand is finite but their sum is not
+    xs = PointSet([0.0, 1.0, 2.0])
+    with pytest.raises(DegenerateStatistic):
+        statistic_power(xs, 1, 646.0)
+    with pytest.raises(DegenerateStatistic):
+        statistic_phi(xs, 1, lambda t: np.full_like(t, 1e308))
 
 
 # ---------------------------------------------------------------------------
