@@ -163,8 +163,10 @@ def _cmd_diverge(args) -> int:
 
 def _cmd_entropy(args) -> int:
     cfg = _load_config(args.config)
-    config = EstimatorConfig.from_dict(cfg, seed_override=args.seed)
     rho = float(_require(cfg, "rho"))
+    config = EstimatorConfig.from_dict(
+        {k: v for k, v in cfg.items() if k != "rho"}, seed_override=args.seed
+    )
     run = run_entropy(config, rho, force=args.force)
     ent = run.entropy
     print(
@@ -180,8 +182,10 @@ def _cmd_entropy(args) -> int:
 
 def _cmd_probe(args) -> int:
     cfg = _load_config(args.config)
-    config = EstimatorConfig.from_dict(cfg, seed_override=args.seed)
     p = float(cfg.get("p", 1.0))
+    config = EstimatorConfig.from_dict(
+        {k: v for k, v in cfg.items() if k != "p"}, seed_override=args.seed
+    )
     result = run_moment_probe(config, p)
     print(
         f"probe: {result.model_name} d={result.d} j={result.j} "

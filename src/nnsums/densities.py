@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.special import betainc, gammainc
+from scipy.special import betainc, betainccinv, betaincinv, gammainc
 
 from .errors import ConfigError, QuadratureBudgetExceeded
 from .limits import unit_ball_volume
@@ -569,6 +569,11 @@ class PowerLawTail(DensityModel):
     The normalizing constant is c_beta = 1 / (d * omega_d * B(d, beta - d)),
     the critical moment is beta - d, and the integral of f^rho is finite
     exactly when beta * rho > d.
+
+    Sampling draws a uniform direction and the radius s = F^{-1}(u), where
+    F(s) = I_{s/(1+s)}(d, beta - d) is the radial CDF: for u <= 1/2,
+    s = y/(1-y) with y = betaincinv(d, beta - d, u); for u > 1/2,
+    s = (1-x)/x with x = 1/(1+s) = betainccinv(beta - d, d, u).
     """
 
     name = "power_law"
@@ -606,20 +611,17 @@ class PowerLawTail(DensityModel):
         return float(out) if out.ndim == 0 else out
 
     def _radial_ppf(self, u: np.ndarray) -> np.ndarray:
-        hi = 1.0
-        target = float(np.max(u))
-        for _ in range(200):
-            if self._radial_cdf(hi) >= target:
-                break
-            hi *= 2.0
-        lo = np.zeros_like(u)
-        hi = np.full_like(u, hi)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            below = self._radial_cdf(mid) < u
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        return 0.5 * (lo + hi)
+        # Split at the median (see the class docstring): each half maps back
+        # without the cancellation of 1/x - 1 near s = 0 or of 1 - y far out.
+        u = np.asarray(u, dtype=float)
+        b = self.beta - self.dim
+        s = np.empty_like(u)
+        low = u <= 0.5
+        y = betaincinv(self.dim, b, u[low])
+        s[low] = y / (1.0 - y)
+        x = betainccinv(b, self.dim, u[~low])
+        s[~low] = (1.0 - x) / x
+        return s
 
     def sample(self, rng, n):
         radii = self._radial_ppf(rng.random(n))
@@ -843,6 +845,11 @@ def _body_from_config(spec: dict, d: int):
     if body.dim != d:
         raise ConfigError(f"body dimension {body.dim} does not match d={d}")
     return body
+
+
+def _model_config_keys(name: str) -> set:
+    """The keys ``model_from_config`` reads for the catalog model ``name``."""
+    return {"model", "d"} | _MODEL_KEYS[name]
 
 
 def model_from_config(cfg: dict) -> DensityModel:

@@ -12,13 +12,14 @@ import csv
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+import os
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.stats import norm as _norm
 
 from .conditions import check_divergence, condition_report
-from .densities import DensityModel, model_from_config
+from .densities import DensityModel, _model_config_keys, model_from_config
 from .errors import ConditionRefused, ConfigError, DegenerateStatistic, InvalidRho
 from .limits import EntropyValue, entropy_from_integral, gamma_constant
 from .neighbors import statistic_power
@@ -87,6 +88,12 @@ class EstimatorConfig:
                 "weight functions run through 'estimate' and 'limit'"
             )
         model = model_from_config(cfg)
+        known = _model_config_keys(cfg["model"]) | {f.name for f in fields(cls)}
+        unknown = sorted(cfg.keys() - known)
+        if unknown:
+            raise ConfigError(
+                f"unknown configuration key(s) {unknown}; expected keys from {sorted(known)}"
+            )
         seed = cfg.get("seed", 0) if seed_override is None else seed_override
         alpha = cfg.get("alpha")
         return cls(
@@ -288,9 +295,14 @@ class ExperimentResult:
         }
 
     def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(path, "w") as fh:
+                json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
+                fh.write("\n")
+        except ValueError:
+            # A non-finite value: leave no truncated report behind.
+            os.remove(path)
+            raise
 
     def write(self, path) -> None:
         path = str(path)
@@ -425,6 +437,13 @@ def run_divergence(
             "pass force to run anyway"
         )
     schedule = DivergenceSchedule.from_model(model, k_grid)
+    empty = [(k, n) for k, n in zip(schedule.k_grid, schedule.n_of_k) if n <= j]
+    if empty:
+        shells = ", ".join(f"k={k} with n(k)={n}" for k, n in empty)
+        raise ConfigError(
+            f"shell(s) {shells} hold at most j={j} points, so no point has a "
+            "j-th neighbour and the sum is always 0"
+        )
     d = model.dim
     result = ExperimentResult(
         experiment="diverge",

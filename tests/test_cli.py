@@ -220,6 +220,15 @@ def test_converge_rejects_phi_key(tmp_path, capsys):
     assert "'estimate' and 'limit'" in err
 
 
+def test_converge_rejects_unknown_key(tmp_path, capsys):
+    payload = dict(UNIFORM_CONVERGE)
+    payload["replicatons"] = payload.pop("replications")
+    cfg = _write_config(tmp_path, "c.json", payload)
+    assert main(["converge", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "replicatons" in err
+
+
 def test_bad_configs_exit_nonzero(tmp_path, capsys):
     cfg = _write_config(tmp_path, "bad.json", {"model": "nope", "d": 2, "alpha": 1.0})
     assert main(["check", "--config", cfg]) == 2

@@ -248,6 +248,33 @@ def test_gof_power_radial(catalog):
     assert p > GOF_SIGNIFICANCE
 
 
+# u = 2^-53 and 1 - 2^-53 are the extreme nonzero outputs of rng.random.
+_PPF_TAIL_U = np.array([2.0**-53, 7 * 2.0**-53, 1.0 - 7 * 2.0**-53, 1.0 - 2.0**-53])
+_PPF_U = np.concatenate([np.random.default_rng(409).random(1000), _PPF_TAIL_U])
+
+
+@pytest.mark.parametrize("beta", [2.0, 3.5, 7.0])
+def test_power_radial_ppf_closed_form_d1(beta):
+    # In d = 1 the radial CDF is 1 - (1+s)^-(beta-1), inverted in closed form.
+    s = PowerLawTail(1, beta)._radial_ppf(_PPF_U)
+    exact = np.expm1(-np.log1p(-_PPF_U) / (beta - 1.0))
+    np.testing.assert_allclose(s, exact, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("beta", [3.0, 4.5, 6.0])
+def test_power_radial_ppf_survival_d2(beta):
+    # In d = 2 the radial survival is I_x(b, 2) = x^b (1 + b y), with
+    # x = 1/(1+s), y = s/(1+s) and b = beta - 2.
+    b = beta - 2.0
+    s = PowerLawTail(2, beta)._radial_ppf(_PPF_U)
+    x, y = 1.0 / (1.0 + s), s / (1.0 + s)
+    np.testing.assert_allclose(x**b * (1.0 + b * y), 1.0 - _PPF_U, rtol=1e-13, atol=0.0)
+
+
+def test_power_radial_ppf_at_zero():
+    assert PowerLawTail(2, 6.0)._radial_ppf(0.0) == 0.0
+
+
 def test_gof_counterexample_shells(catalog):
     model = catalog["counterexample"]
     xs = sample_n(model, GOF_SAMPLE, seed=408).coords

@@ -84,6 +84,17 @@ def test_config_from_dict():
     assert override.seed == 123
 
 
+def test_config_from_dict_rejects_unknown_keys():
+    base = {"model": "gaussian", "d": 2, "alpha": 1.0, "n_grid": [10]}
+    # a misspelt key would otherwise be dropped and its default used
+    with pytest.raises(ConfigError, match=r"\['beta', 'replicatons'\]"):
+        EstimatorConfig.from_dict(dict(base, replicatons=5, beta=3.0))
+    cfg = EstimatorConfig.from_dict(
+        {"model": "power_law", "d": 2, "beta": 6.0, "alpha": 1.0, "n_grid": [10]}
+    )
+    assert cfg.model.beta == 6.0
+
+
 # ---------------------------------------------------------------------------
 # Mann-Kendall trend statistic
 
@@ -201,6 +212,15 @@ def test_json_mirrors_csv(tmp_path):
         result.write(tmp_path / "out.txt")
 
 
+def test_write_json_refuses_non_finite(tmp_path):
+    result = run_convergence(_config(n_grid=(50,), replications=2))
+    result.trend = {"ratio": math.inf}
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        result.write_json(path)
+    assert not path.exists()
+
+
 # ---------------------------------------------------------------------------
 # divergence runs
 
@@ -235,6 +255,14 @@ def test_divergence_refused_when_conditions_fail():
     with pytest.raises(ConditionRefused):
         run_divergence(CX, 0.2, range(2, 5), replications=2, seed=1)
     # alpha = 0.2 keeps r_c = 1 above the threshold 2*0.2/1.8
+
+
+def test_divergence_refuses_shell_without_jth_neighbour():
+    # n(2) = 2 points at j = 2: no point has a second neighbour
+    with pytest.raises(ConfigError, match=r"k=2 with n\(k\)=2 hold at most j=2"):
+        run_divergence(CX, 1.5, [2, 3, 4], 2, 1, j=2, force=True)
+    schedule, _ = run_divergence(CX, 1.5, [3, 4], 2, 1, j=2)
+    assert schedule.n_of_k == (4, 8)
 
 
 def test_divergence_trivial_single_shell():
