@@ -20,12 +20,13 @@ import math
 import sys
 
 from .conditions import condition_report
-from .densities import model_from_config
+from .densities import _model_config_keys, model_from_config
 from .errors import ConditionRefused, ConfigError
 from .experiments import (
     EstimatorConfig,
     ExperimentResult,
     RunRecord,
+    _refuse_unknown_keys,
     resolve_phi,
     run_convergence,
     run_divergence,
@@ -72,6 +73,7 @@ def _print_summaries(result: ExperimentResult) -> None:
 
 def _cmd_estimate(args) -> int:
     cfg = _load_config(args.config)
+    _refuse_unknown_keys(cfg, {"points", "j", "alpha", "phi", "q"})
     points = PointSet.from_csv(_require(cfg, "points"))
     j = int(cfg.get("j", 1))
     n = len(points)
@@ -127,6 +129,11 @@ def _cmd_converge(args) -> int:
 def _cmd_diverge(args) -> int:
     cfg = _load_config(args.config)
     model = model_from_config(cfg)
+    _refuse_unknown_keys(
+        cfg,
+        _model_config_keys(cfg["model"])
+        | {"alpha", "k_grid", "k_min", "k_max", "replications", "seed", "j"},
+    )
     alpha = float(_require(cfg, "alpha"))
     if "k_grid" in cfg:
         k_grid = [int(k) for k in cfg["k_grid"]]
@@ -204,6 +211,7 @@ def _cmd_probe(args) -> int:
 def _cmd_check(args) -> int:
     cfg = _load_config(args.config)
     model = model_from_config(cfg)
+    _refuse_unknown_keys(cfg, _model_config_keys(cfg["model"]) | {"alpha", "q"})
     alpha = float(_require(cfg, "alpha"))
     q = int(cfg.get("q", 1))
     report = condition_report(model, alpha, q)
@@ -219,6 +227,7 @@ def _cmd_check(args) -> int:
 def _cmd_limit(args) -> int:
     cfg = _load_config(args.config)
     model = model_from_config(cfg)
+    _refuse_unknown_keys(cfg, _model_config_keys(cfg["model"]) | {"j", "alpha", "phi", "tol"})
     j = int(cfg.get("j", 1))
     alpha = cfg.get("alpha")
     phi_name = cfg.get("phi")

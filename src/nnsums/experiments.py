@@ -48,6 +48,15 @@ def resolve_phi(name: str):
 _MAX_RESAMPLES = 5
 
 
+def _refuse_unknown_keys(cfg: dict, known: set) -> None:
+    """Raise :class:`ConfigError` naming every key of ``cfg`` not in ``known``."""
+    unknown = sorted(cfg.keys() - known)
+    if unknown:
+        raise ConfigError(
+            f"unknown configuration key(s) {unknown}; expected keys from {sorted(known)}"
+        )
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
     """One statistic evaluation plan: model, rank, exponent, sizes, seeds."""
@@ -88,12 +97,7 @@ class EstimatorConfig:
                 "weight functions run through 'estimate' and 'limit'"
             )
         model = model_from_config(cfg)
-        known = _model_config_keys(cfg["model"]) | {f.name for f in fields(cls)}
-        unknown = sorted(cfg.keys() - known)
-        if unknown:
-            raise ConfigError(
-                f"unknown configuration key(s) {unknown}; expected keys from {sorted(known)}"
-            )
+        _refuse_unknown_keys(cfg, _model_config_keys(cfg["model"]) | {f.name for f in fields(cls)})
         seed = cfg.get("seed", 0) if seed_override is None else seed_override
         alpha = cfg.get("alpha")
         return cls(

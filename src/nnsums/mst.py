@@ -1,29 +1,46 @@
 """Euclidean minimum spanning trees and weighted edge functionals.
 
-Implements Prim's algorithm with a fixed lexicographic tie-break so the
-edge list is deterministic even on degenerate configurations such as grid
-points. Each row of squared distances is computed when its vertex joins
-the tree, so memory is O(n) and time O(n^2). Alongside the tree sits the
-unnormalized neighbor power sum L^b = sum_x D_j(x)^b, which shares the
-tree's subadditivity geometry and is the quantity the growth diagnostics
-are phrased in.
+Edges are ordered strictly by (squared length, i, j), so the tree and
+the order in which Prim's algorithm from vertex 0 discovers it are
+deterministic even on degenerate configurations such as grid points. In
+d = 2 and 3 the search is restricted to the Delaunay edges, which contain
+every minimum spanning tree edge (Shamos & Hoey, 1975), at an expected
+O(n log n) cost. Elsewhere, and on inputs Qhull cannot triangulate
+cleanly, Prim runs over the complete graph, computing each row of squared
+distances when its vertex joins the tree, so memory is O(n) and time
+O(n^2). Both paths return the same edge tuple. Alongside the tree sits
+the unnormalized neighbor power sum L^b = sum_x D_j(x)^b, which shares
+the tree's subadditivity geometry and is the quantity the growth
+diagnostics are phrased in.
 """
 
 from __future__ import annotations
 
 import csv
+import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import minimum_spanning_tree
+from scipy.spatial import Delaunay, QhullError
 
 from .neighbors import _sq_dists_to, _weighted_sum
 from .points import PointSet
 
+#: The Delaunay path needs every Delaunay edge longer than this fraction of
+#: the longest one; nearer pairs send the set to the complete-graph Prim.
+_MIN_SEPARATION = 1e-7
+
 
 @dataclass(frozen=True)
 class EdgeList:
-    """Edges (i, j, length) of a spanning tree, i < j, in discovery order."""
+    """Edges (i, j, length) of a spanning tree, i < j, in discovery order.
+
+    The order of ``edges`` is part of the contract: Prim's discovery order
+    from vertex 0 under the strict order (squared length, i, j).
+    """
 
     n_vertices: int
     edges: tuple
@@ -50,10 +67,90 @@ def _pair(u: int, v: int) -> tuple[int, int]:
 def build_mst(xs: PointSet) -> EdgeList:
     """Minimum spanning tree of the complete Euclidean graph on ``xs``.
 
-    Ties are broken by the lexicographically smallest (length, index pair),
-    so the result is deterministic. Squared distances are compared; each
-    edge takes one square root at the end.
+    Edges are ordered strictly by (squared length, i, j), so the tree is
+    unique even on ties. ``edges`` is part of the contract: it lists the
+    tree in Prim's discovery order from vertex 0 under that order, on every
+    path, and ``test_golden.py`` pins it. Squared distances are compared;
+    each edge takes one square root at the end.
+
+    In d = 2 and 3 the search runs over the Delaunay edges only, which
+    contain every minimum spanning tree edge. It falls back to the O(n^2)
+    Prim loop in other dimensions, for n <= d + 1, when Qhull fails or
+    leaves a point out of the triangulation (equal points, for one), and
+    when two points are closer than ``_MIN_SEPARATION`` times the longest
+    Delaunay edge.
     """
+    n = len(xs)
+    if n <= 1:
+        return EdgeList(n_vertices=n, edges=())
+    edges = _delaunay_mst(xs.coords)
+    if edges is None:
+        return _prim_mst(xs)
+    return EdgeList(n_vertices=n, edges=edges)
+
+
+def _delaunay_mst(coords: np.ndarray) -> tuple | None:
+    """Prim's edge tuple over the Delaunay edges, or None to fall back.
+
+    Every minimum spanning tree edge uv of distinct points is a Gabriel
+    edge: a third point w in the closed disk on diameter uv has |uw| and
+    |vw| strictly below |uv|, so uv would close a cycle as its longest
+    edge. Gabriel edges belong to every Delaunay triangulation. Rounding
+    moves a squared length by at most about 1e-15 relative for d <= 3, and
+    no tree edge is longer than the longest Delaunay edge, so the rounded
+    lengths keep both inequalities strict once no Delaunay edge is shorter
+    than ``_MIN_SEPARATION`` times the longest. Closer pairs do break it:
+    near-duplicate points 1e-12 apart gave a tree with a non-Delaunay edge.
+    """
+    n, d = coords.shape
+    if not 2 <= d <= 3 or n <= d + 1:
+        return None
+    try:
+        tri = Delaunay(coords)
+    except QhullError:
+        return None
+    if len(tri.coplanar):
+        return None
+    indptr, nbrs = tri.vertex_neighbor_vertices
+    src = np.repeat(np.arange(n), np.diff(indptr))
+    keep = src < nbrs
+    i, j = src[keep], nbrs[keep]
+    # the same accumulation as _sq_dists_to, so each length rounds as in Prim
+    sq = np.zeros(len(i))
+    for c in range(d):
+        t = coords[i, c] - coords[j, c]
+        sq += t * t
+    if sq.min() <= _MIN_SEPARATION**2 * sq.max():
+        return None
+    # distinct ranks 1..m make the tree unique under the order (len^2, i, j)
+    order = np.lexsort((j, i, sq))
+    rank = np.empty(len(order), dtype=np.float64)
+    rank[order] = np.arange(1, len(order) + 1)
+    tree = minimum_spanning_tree(coo_matrix((rank, (i, j)), shape=(n, n))).tocoo()
+    picked = order[tree.data.astype(np.intp) - 1]
+    adjacent = [[] for _ in range(n)]
+    for key in zip(sq[picked].tolist(), i[picked].tolist(), j[picked].tolist()):
+        adjacent[key[1]].append(key)
+        adjacent[key[2]].append(key)
+    # Prim over the tree recovers the discovery order of Prim over all pairs
+    heap = list(adjacent[0])
+    heapq.heapify(heap)
+    in_tree = [False] * n
+    in_tree[0] = True
+    edges = []
+    while heap:
+        s, a, b = heapq.heappop(heap)
+        edges.append((a, b, math.sqrt(s)))
+        v = b if in_tree[a] else a
+        in_tree[v] = True
+        for key in adjacent[v]:
+            if not (in_tree[key[1]] and in_tree[key[2]]):
+                heapq.heappush(heap, key)
+    return tuple(edges)
+
+
+def _prim_mst(xs: PointSet) -> EdgeList:
+    """O(n^2) Prim over the complete graph, one distance row per new vertex."""
     n = len(xs)
     if n <= 1:
         return EdgeList(n_vertices=n, edges=())

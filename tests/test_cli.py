@@ -229,6 +229,34 @@ def test_converge_rejects_unknown_key(tmp_path, capsys):
     assert "error:" in err and "replicatons" in err
 
 
+# each payload is a valid configuration with its misspelt keys
+_TYPO_CONFIGS = {
+    "diverge": (
+        {"model": "counterexample", "d": 2, "r": 1.0, "alpha": 1.5, "k_grid": [2, 3]},
+        {"replicatons": 5, "sed": 3},
+    ),
+    "check": ({"model": "power_law", "d": 2, "beta": 6.0, "alpha": 1.0}, {"qq": 1}),
+    "limit": ({"model": "gaussian", "d": 2, "alpha": 1.0}, {"jj": 3, "tolerance": 1e-9}),
+    "estimate": ({"points": "pts.csv", "alpha": 1.0}, {"rank": 2}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_TYPO_CONFIGS))
+def test_hand_read_subcommands_reject_unknown_keys(tmp_path, capsys, command):
+    PointSet([0.0, 1.0, 3.0]).to_csv(tmp_path / "pts.csv")
+    payload, typos = _TYPO_CONFIGS[command]
+    payload = dict(payload, **typos)
+    if command == "estimate":
+        payload["points"] = str(tmp_path / "pts.csv")
+    cfg = _write_config(tmp_path, "typo.json", payload)
+    assert main([command, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    for key in typos:
+        assert repr(key) in captured.err
+    assert captured.out == ""
+
+
 def test_bad_configs_exit_nonzero(tmp_path, capsys):
     cfg = _write_config(tmp_path, "bad.json", {"model": "nope", "d": 2, "alpha": 1.0})
     assert main(["check", "--config", cfg]) == 2

@@ -8,6 +8,7 @@ import pytest
 from scipy.sparse.csgraph import minimum_spanning_tree as scipy_mst
 
 from nnsums import DegenerateStatistic, PointSet, build_mst, l_phi, l_power_nn
+from nnsums import mst
 
 
 def _distance_matrix(pts: np.ndarray) -> np.ndarray:
@@ -142,16 +143,93 @@ def test_edge_list_csv(tmp_path):
     assert rows == ["0,1,1.0", "1,2,2.0"]
 
 
-def test_build_mst_memory_is_linear():
+def _grid(k: int) -> np.ndarray:
+    return np.array([[float(a), float(b)] for a in range(k) for b in range(k)])
+
+
+def _equal_sets():
+    rng = np.random.default_rng(4242)
+    angles = rng.uniform(0.0, 2.0 * math.pi, 300)
+    lattice = np.unique(rng.integers(0, 12, size=(500, 2)), axis=0).astype(float)
+    return {
+        "uniform-2d": rng.random((1500, 2)),
+        "uniform-3d": rng.random((800, 3)),
+        "grid": _grid(15),
+        "jittered-grid": _grid(20) + 1e-12 * rng.standard_normal((400, 2)),
+        "circle": np.column_stack([np.cos(angles), np.sin(angles)]),
+        "student-t": rng.standard_t(1.5, size=(600, 2)),
+        "lattice-ties": rng.permutation(lattice),
+        "lattice-ties-3d": rng.permutation(
+            np.unique(rng.integers(0, 6, size=(300, 3)), axis=0).astype(float)
+        ),
+        "near-duplicate-pairs": _near_duplicate_pairs(),
+    }
+
+
+def _near_duplicate_pairs():
+    # pairs 1e-13..1e-6 apart; with no separation guard the Delaunay
+    # path returns a different tree on this set
+    rng = np.random.default_rng([7, 890])
+    n = int(rng.integers(20, 300))
+    pts = rng.random((n, 2))
+    k = n // 3
+    scale = 10.0 ** rng.uniform(-13, -6)
+    return np.vstack([pts, pts[:k] + scale * rng.standard_normal((k, 2))])
+
+
+@pytest.mark.parametrize("name", sorted(_equal_sets()))
+def test_delaunay_path_matches_prim(name):
+    xs = PointSet(_equal_sets()[name])
+    assert build_mst(xs).edges == mst._prim_mst(xs).edges
+
+
+def _no_prim(xs):
+    raise AssertionError("complete-graph Prim reached")
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_uniform_points_skip_prim(monkeypatch, d):
+    monkeypatch.setattr(mst, "_prim_mst", _no_prim)
+    tree = build_mst(PointSet(np.random.default_rng(d).random((500, d))))
+    assert len(tree.edges) == 499
+
+
+def _fallback_inputs():
+    rng = np.random.default_rng(17)
+    uniform = rng.random((60, 2))
+    near = uniform[:5] + 1e-12 * rng.standard_normal((5, 2))
+    return {
+        "duplicate": np.vstack([uniform, uniform[7:8]]),
+        "near-duplicate": np.vstack([uniform, near]),
+        "collinear-2d": np.column_stack([rng.random(40), np.zeros(40)]),
+        "d=1": rng.random((40, 1)),
+        "d=4": rng.random((40, 4)),
+        "n=d+1": rng.random((3, 2)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_fallback_inputs()))
+def test_fallbacks_reach_prim(monkeypatch, name):
+    monkeypatch.setattr(mst, "_prim_mst", _no_prim)
+    with pytest.raises(AssertionError, match="Prim reached"):
+        build_mst(PointSet(_fallback_inputs()[name]))
+
+
+@pytest.mark.parametrize("path", ["delaunay", "prim-fallback"])
+def test_build_mst_memory_is_linear(path):
     # an n x n matrix of float64 alone is 69 MiB at n = 3000
-    xs = PointSet(np.random.default_rng(8).random((3000, 2)))
+    pts = np.random.default_rng(8).random((3000, 2))
+    if path == "prim-fallback":
+        # a duplicated point sends the set to the complete-graph loop
+        pts = np.vstack([pts, pts[11:12]])
+    xs = PointSet(pts)
     tracemalloc.start()
     try:
         tree = build_mst(xs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(tree.edges) == 2999
+    assert len(tree.edges) == len(xs) - 1
     assert peak < 10 * 2**20
 
 
