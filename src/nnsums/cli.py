@@ -1,11 +1,25 @@
 """Command line interface for the experiment harness.
 
-Subcommands: ``estimate`` (one statistic on a CSV point set), ``converge``,
-``diverge``, ``entropy``, ``probe``, ``check`` (condition report as JSON),
-and ``limit`` (quadrature value of the limit functional). Every subcommand
-reads a JSON configuration via --config; --seed overrides the config seed,
---out writes a CSV or JSON report next to the stdout summary, and --force
-bypasses the convergence gate where one applies.
+Each subcommand reads the JSON object named by --config and refuses a key
+not listed for it below as ``key: kind = default``; a key without a default
+is required, and ``a | b`` takes exactly one of a and b. An int is a JSON
+integer, never a bool, a string or 2.0; a float is any finite JSON number.
+``model`` stands for model: str, d: int and bodies, beta: float or
+r: float, as ``model_from_config`` reads them.
+
+estimate  points: str, j: int = 1, q: int = 1, alpha: float | phi: str
+converge  model, alpha: float, n_grid: int_list, j: int = 1,
+          replications: int = 1, seed: int = 0, q: int = 1
+entropy   the keys of converge, with rho: float in place of alpha
+probe     the keys of converge, and p: float = 1.0
+diverge   model, alpha: float, k_grid: int_list | k_min: int and k_max: int,
+          replications: int = 1, seed: int = 0, j: int = 1
+check     model, alpha: float, q: int = 1
+limit     model, j: int = 1, tol: float = 1e-6, alpha: float | phi: str
+
+--out writes a .json report, or .csv except for check and limit. --seed
+(converge, diverge, entropy, probe) overrides the config seed, and --force
+(converge, diverge, entropy) runs past a refused condition.
 
 The same interface runs as the ``nnsums`` console script declared in
 ``pyproject.toml`` and, from a source checkout, as ``python -m nnsums``
@@ -20,13 +34,12 @@ import math
 import sys
 
 from .conditions import condition_report
-from .densities import _model_config_keys, model_from_config
+from .densities import _MODEL, _REQUIRED, _read_config
 from .errors import ConditionRefused, ConfigError
 from .experiments import (
     EstimatorConfig,
     ExperimentResult,
     RunRecord,
-    _refuse_unknown_keys,
     resolve_phi,
     run_convergence,
     run_divergence,
@@ -37,13 +50,26 @@ from .limits import QuadratureBudget, gamma_constant, limit_functional
 from .neighbors import statistic_phi, statistic_power
 from .points import PointSet
 
+_STATISTIC = {"j": ("int", 1), "alpha": ("float", None), "phi": ("str", None)}
+_ESTIMATE_KEYS = {"points": ("str", _REQUIRED), **_STATISTIC, "q": ("int", 1)}
+_LIMIT_KEYS = {**_MODEL, **_STATISTIC, "tol": ("float", 1e-6)}
+_CHECK_KEYS = {**_MODEL, "alpha": ("float", _REQUIRED), "q": ("int", 1)}
+_DIVERGE_KEYS = {
+    **_MODEL,
+    "alpha": ("float", _REQUIRED),
+    "k_grid": ("int_list", None),
+    "k_min": ("int", None),
+    "k_max": ("int", None),
+    "replications": ("int", 1),
+    "seed": ("int", 0),
+    "j": ("int", 1),
+}
+
 
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"configuration file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(cfg, dict):
@@ -51,10 +77,18 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise ConfigError(f"configuration is missing the key {key!r}")
-    return cfg[key]
+def _estimator_config(args, key: str, entry) -> tuple[EstimatorConfig, object]:
+    """The EstimatorConfig of --config and the one key entropy or probe adds."""
+    cfg = _load_config(args.config)
+    value = _read_config({key: cfg.pop(key)} if key in cfg else {}, {key: entry})[key]
+    return EstimatorConfig.from_dict(cfg, seed_override=args.seed), value
+
+
+def _write_json_text(path: str, text: str) -> None:
+    if not path.endswith(".json"):
+        raise ConfigError(f"output path must end in .json, got {path}")
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
 
 
 def _emit(result: ExperimentResult, out: str | None) -> None:
@@ -72,17 +106,14 @@ def _print_summaries(result: ExperimentResult) -> None:
 
 
 def _cmd_estimate(args) -> int:
-    cfg = _load_config(args.config)
-    _refuse_unknown_keys(cfg, {"points", "j", "alpha", "phi", "q"})
-    points = PointSet.from_csv(_require(cfg, "points"))
-    j = int(cfg.get("j", 1))
-    n = len(points)
-    alpha = cfg.get("alpha")
-    phi_name = cfg.get("phi")
+    v = _read_config(_load_config(args.config), _ESTIMATE_KEYS)
+    points = PointSet.from_csv(v["points"])
+    j, alpha, phi_name, n = v["j"], v["alpha"], v["phi"], len(points)
     if (alpha is None) == (phi_name is None):
         raise ConfigError("estimate needs exactly one of 'alpha' or 'phi'")
+    if v["q"] not in (1, 2):
+        raise ConfigError(f"'q' must be 1 or 2, got {v['q']}")
     if alpha is not None:
-        alpha = float(alpha)
         raw = statistic_power(points, j, alpha)
         gam = gamma_constant(points.dim, j, alpha)
         value = raw / (gam * n)
@@ -99,7 +130,7 @@ def _cmd_estimate(args) -> int:
         d=points.dim,
         j=j,
         alpha=alpha,
-        q=int(cfg.get("q", 1)),
+        q=v["q"],
         target=None,
         records=[RunRecord(n=n, replication=0, value=value)],
         phi=phi_name,
@@ -109,8 +140,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    cfg = _load_config(args.config)
-    config = EstimatorConfig.from_dict(cfg, seed_override=args.seed)
+    config = EstimatorConfig.from_dict(_load_config(args.config), seed_override=args.seed)
     result = run_convergence(config, force=args.force)
     print(
         f"converge: {result.model_name} d={result.d} j={result.j} "
@@ -127,25 +157,16 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_diverge(args) -> int:
-    cfg = _load_config(args.config)
-    model = model_from_config(cfg)
-    _refuse_unknown_keys(
-        cfg,
-        _model_config_keys(cfg["model"])
-        | {"alpha", "k_grid", "k_min", "k_max", "replications", "seed", "j"},
-    )
-    alpha = float(_require(cfg, "alpha"))
-    if "k_grid" in cfg:
-        k_grid = [int(k) for k in cfg["k_grid"]]
-    elif "k_min" in cfg and "k_max" in cfg:
-        k_grid = list(range(int(cfg["k_min"]), int(cfg["k_max"]) + 1))
-    else:
-        raise ConfigError("diverge needs 'k_grid' or 'k_min'/'k_max'")
-    replications = int(cfg.get("replications", 1))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    j = int(cfg.get("j", 1))
+    v = _read_config(_load_config(args.config), _DIVERGE_KEYS)
+    k_grid, k_min, k_max = v["k_grid"], v["k_min"], v["k_max"]
+    if k_grid is None and None not in (k_min, k_max):
+        k_grid = range(k_min, k_max + 1)
+    elif k_grid is None or (k_min, k_max) != (None, None):
+        raise ConfigError("diverge needs either 'k_grid' or both 'k_min' and 'k_max'")
+    j, alpha = v["j"], v["alpha"]
+    seed = v["seed"] if args.seed is None else args.seed
     schedule, result = run_divergence(
-        model, alpha, k_grid, replications, seed, j=j, force=args.force
+        v["model"], alpha, k_grid, v["replications"], seed, j=j, force=args.force
     )
     print(
         f"diverge: {result.model_name} d={result.d} j={j} alpha={alpha} "
@@ -169,11 +190,9 @@ def _cmd_diverge(args) -> int:
 
 
 def _cmd_entropy(args) -> int:
-    cfg = _load_config(args.config)
-    rho = float(_require(cfg, "rho"))
-    config = EstimatorConfig.from_dict(
-        {k: v for k, v in cfg.items() if k != "rho"}, seed_override=args.seed
-    )
+    config, rho = _estimator_config(args, "rho", ("float", _REQUIRED))
+    if config.alpha is not None:
+        raise ConfigError("entropy takes 'rho' and sets alpha = d * (1 - rho); drop 'alpha'")
     run = run_entropy(config, rho, force=args.force)
     ent = run.entropy
     print(
@@ -188,11 +207,7 @@ def _cmd_entropy(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    cfg = _load_config(args.config)
-    p = float(cfg.get("p", 1.0))
-    config = EstimatorConfig.from_dict(
-        {k: v for k, v in cfg.items() if k != "p"}, seed_override=args.seed
-    )
+    config, p = _estimator_config(args, "p", ("float", 1.0))
     result = run_moment_probe(config, p)
     print(
         f"probe: {result.model_name} d={result.d} j={result.j} "
@@ -209,36 +224,22 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    cfg = _load_config(args.config)
-    model = model_from_config(cfg)
-    _refuse_unknown_keys(cfg, _model_config_keys(cfg["model"]) | {"alpha", "q"})
-    alpha = float(_require(cfg, "alpha"))
-    q = int(cfg.get("q", 1))
-    report = condition_report(model, alpha, q)
-    text = report.to_json()
+    v = _read_config(_load_config(args.config), _CHECK_KEYS)
+    text = condition_report(v["model"], v["alpha"], v["q"]).to_json()
     print(text)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        _write_json_text(args.out, text)
         print(f"wrote {args.out}", file=sys.stderr)
     return 0
 
 
 def _cmd_limit(args) -> int:
-    cfg = _load_config(args.config)
-    model = model_from_config(cfg)
-    _refuse_unknown_keys(cfg, _model_config_keys(cfg["model"]) | {"j", "alpha", "phi", "tol"})
-    j = int(cfg.get("j", 1))
-    alpha = cfg.get("alpha")
-    phi_name = cfg.get("phi")
+    v = _read_config(_load_config(args.config), _LIMIT_KEYS)
+    model, j, alpha, phi_name = v["model"], v["j"], v["alpha"], v["phi"]
     if (alpha is None) == (phi_name is None):
         raise ConfigError("limit needs exactly one of 'alpha' or 'phi'")
-    budget = QuadratureBudget(tol=float(cfg.get("tol", 1e-6)))
-    if alpha is not None:
-        alpha = float(alpha)
-        phi = lambda t: t**alpha  # noqa: E731
-    else:
-        phi = resolve_phi(phi_name)
+    budget = QuadratureBudget(tol=v["tol"])
+    phi = (lambda t: t**alpha) if alpha is not None else resolve_phi(phi_name)
     value, err = limit_functional(phi, model, j=j, budget=budget, return_error=True)
     label = f"alpha={alpha}" if alpha is not None else f"phi={phi_name}"
     print(f"limit functional ({model.name}, d={model.dim}, j={j}, {label})")
@@ -258,9 +259,7 @@ def _cmd_limit(args) -> int:
             "value": value,
             "error_estimate": err,
         }
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json_text(args.out, json.dumps(payload, indent=2, sort_keys=True))
         print(f"wrote {args.out}")
     return 0
 
@@ -285,13 +284,15 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON configuration file")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--out", default=None, help="write a .csv or .json report")
-        p.add_argument(
-            "--force",
-            action="store_true",
-            help="run even when no convergence guarantee applies",
-        )
+        p.add_argument("--out", help="write a .json report, or .csv except for check and limit")
+        if name in ("converge", "diverge", "entropy", "probe"):
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if name in ("converge", "diverge", "entropy"):
+            p.add_argument(
+                "--force",
+                action="store_true",
+                help="run even when no convergence guarantee applies",
+            )
     return parser
 
 
@@ -300,10 +301,6 @@ def main(argv=None) -> int:
     handler = _COMMANDS[args.command][0]
     try:
         return handler(args)
-    except (ConfigError, ConditionRefused, ValueError) as exc:
+    except (ConfigError, ConditionRefused, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

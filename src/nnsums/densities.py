@@ -282,7 +282,7 @@ class DensityModel(ABC):
 
     def __init__(self, dim: int):
         if dim < 1:
-            raise ValueError(f"dimension must be >= 1, got {dim}")
+            raise ValueError(f"dimension d must be a positive integer, got {dim}")
         self.dim = int(dim)
 
     # -- core surface -------------------------------------------------
@@ -820,71 +820,109 @@ class AnnulusBallCounterexample(DensityModel):
 # ---------------------------------------------------------------------------
 # configuration and sampling entry points
 
-_MODEL_KEYS = {
-    "uniform_union": {"bodies"},
-    "gaussian": set(),
-    "power_law": {"beta"},
-    "counterexample": {"r"},
+#: The default of a table entry whose key must be present.
+_REQUIRED = object()
+#: The table entry that reads a catalog model; see :func:`_read_config`.
+_MODEL = {"model": ("str", _REQUIRED)}
+
+
+# kind -> (what a value must be, its test), and "<kind>_list" for a list of them.
+# Exact types: bool is a subclass of int, and JSON reads 2.0 as a float.
+_KINDS = {
+    "int": ("an integer", lambda v: type(v) is int),
+    "float": ("a finite number", lambda v: type(v) in (int, float) and math.isfinite(v)),
+    "str": ("a string", lambda v: type(v) is str),
+    "object": ("an object", lambda v: type(v) is dict),
+}
+_KINDS |= {
+    f"{k}_list": (f"a list, each item {w}", lambda v, t=t: type(v) is list and all(map(t, v)))
+    for k, (w, t) in _KINDS.items()
+}
+
+# catalog model -> (its keys besides "model" and "d", constructor taking d first)
+_CATALOG = {
+    "uniform_union": (
+        {"bodies": ("object_list", _REQUIRED)},
+        lambda d, bodies: UniformConvexUnion([_body_from_config(b, d) for b in bodies]),
+    ),
+    "gaussian": ({}, GaussianStandard),
+    "power_law": ({"beta": ("float", _REQUIRED)}, PowerLawTail),
+    "counterexample": ({"r": ("float", _REQUIRED)}, AnnulusBallCounterexample),
+}
+
+
+def _read_config(cfg, table: dict) -> dict:
+    """The value, or else the default, of each key of ``table`` in ``cfg``.
+
+    ``table`` maps a key to ``(kind, default)``: kind is a key of ``_KINDS``,
+    and the default ``_REQUIRED`` makes the key mandatory. The ``_MODEL``
+    entry reads the catalog model ``cfg`` names, with its keys, into a
+    :class:`DensityModel`. Raises :class:`ConfigError` naming the key on an
+    unknown key, a missing one or a value of the wrong kind.
+    """
+    if not isinstance(cfg, dict):
+        raise ConfigError("configuration must be a JSON object")
+    if "model" in table:
+        name = cfg.get("model")
+        if type(name) is not str or name not in _CATALOG:
+            raise ConfigError(f"unknown model {name!r}; expected one of {sorted(_CATALOG)}")
+        model_keys, build = _CATALOG[name]
+        table = {**table, "d": ("int", _REQUIRED), **model_keys}
+    unknown = sorted(cfg.keys() - table.keys())
+    if unknown:
+        raise ConfigError(
+            f"unknown configuration key(s) {unknown}; expected keys from {sorted(table)}"
+        )
+    values = {}
+    for key, (kind, default) in table.items():
+        value = cfg.get(key, default)
+        if value is _REQUIRED:
+            raise ConfigError(f"configuration needs key {key!r}")
+        what, test = _KINDS[kind]
+        if key in cfg and not test(value):
+            raise ConfigError(f"{key!r} must be {what}, got {value!r}")
+        values[key] = float(value) if key in cfg and kind == "float" else value
+    if "model" in table:
+        try:
+            values["model"] = build(values.pop("d"), *(values.pop(k) for k in model_keys))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+    return values
+
+
+_BODIES = {
+    "box": (Box, {"lo": ("float_list", _REQUIRED), "hi": ("float_list", _REQUIRED)}),
+    "ball": (Ball, {"center": ("float_list", _REQUIRED), "radius": ("float", _REQUIRED)}),
 }
 
 
 def _body_from_config(spec: dict, d: int):
     kind = spec.get("type")
-    if kind == "box":
-        try:
-            body = Box(lo=tuple(spec["lo"]), hi=tuple(spec["hi"]))
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ConfigError(f"bad box body: {exc}") from None
-    elif kind == "ball":
-        try:
-            body = Ball(center=tuple(spec["center"]), radius=spec["radius"])
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ConfigError(f"bad ball body: {exc}") from None
-    else:
+    if kind not in ("box", "ball"):
         raise ConfigError(f"body type must be 'box' or 'ball', got {kind!r}")
+    cls, keys = _BODIES[kind]
+    values = _read_config(spec, {"type": ("str", _REQUIRED), **keys})
+    del values["type"]
+    try:
+        body = cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"bad {kind} body: {exc}") from None
     if body.dim != d:
         raise ConfigError(f"body dimension {body.dim} does not match d={d}")
     return body
 
 
-def _model_config_keys(name: str) -> set:
-    """The keys ``model_from_config`` reads for the catalog model ``name``."""
-    return {"model", "d"} | _MODEL_KEYS[name]
-
-
 def model_from_config(cfg: dict) -> DensityModel:
     """Build a catalog model from its JSON configuration.
 
-    Recognized keys: ``model`` (one of uniform_union, gaussian, power_law,
-    counterexample), ``d``, and the model-specific key ``bodies``,
-    ``beta`` or ``r``.
+    Keys, all required, and no others: ``model`` (str: uniform_union,
+    gaussian, power_law or counterexample), ``d`` (int >= 1), and per model
+    ``bodies`` (a list of {"type": "box", "lo": [float], "hi": [float]} and
+    {"type": "ball", "center": [float], "radius": float} objects), ``beta``
+    (float > d) or ``r`` (float > 0). An int is a JSON integer, never a
+    bool, a string or 2.0; a float is any finite JSON number.
     """
-    name = cfg.get("model")
-    if name not in _MODEL_KEYS:
-        raise ConfigError(
-            f"unknown model {name!r}; expected one of {sorted(_MODEL_KEYS)}"
-        )
-    if "d" not in cfg:
-        raise ConfigError("model configuration needs the dimension key 'd'")
-    d = cfg["d"]
-    if not isinstance(d, int) or d < 1:
-        raise ConfigError(f"'d' must be a positive integer, got {d!r}")
-    missing = _MODEL_KEYS[name] - cfg.keys()
-    if missing:
-        raise ConfigError(f"model {name!r} needs key(s) {sorted(missing)}")
-    try:
-        if name == "uniform_union":
-            bodies = [_body_from_config(b, d) for b in cfg["bodies"]]
-            return UniformConvexUnion(bodies)
-        if name == "gaussian":
-            return GaussianStandard(d)
-        if name == "power_law":
-            return PowerLawTail(d, cfg["beta"])
-        return AnnulusBallCounterexample(d, cfg["r"])
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from None
+    return _read_config(cfg, _MODEL)["model"]
 
 
 def sample_n(model: DensityModel, n: int, seed) -> PointSet:

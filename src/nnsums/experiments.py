@@ -13,13 +13,13 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.stats import norm as _norm
 
 from .conditions import check_divergence, condition_report
-from .densities import DensityModel, _model_config_keys, model_from_config
+from .densities import _MODEL, _REQUIRED, DensityModel, _read_config
 from .errors import ConditionRefused, ConfigError, DegenerateStatistic, InvalidRho
 from .limits import EntropyValue, entropy_from_integral, gamma_constant
 from .neighbors import statistic_power
@@ -48,13 +48,16 @@ def resolve_phi(name: str):
 _MAX_RESAMPLES = 5
 
 
-def _refuse_unknown_keys(cfg: dict, known: set) -> None:
-    """Raise :class:`ConfigError` naming every key of ``cfg`` not in ``known``."""
-    unknown = sorted(cfg.keys() - known)
-    if unknown:
-        raise ConfigError(
-            f"unknown configuration key(s) {unknown}; expected keys from {sorted(known)}"
-        )
+#: The keys :meth:`EstimatorConfig.from_dict` reads, besides the model's.
+_ESTIMATOR_KEYS = {
+    **_MODEL,
+    "j": ("int", 1),
+    "alpha": ("float", None),
+    "n_grid": ("int_list", ()),
+    "replications": ("int", 1),
+    "seed": ("int", 0),
+    "q": ("int", 1),
+}
 
 
 @dataclass(frozen=True)
@@ -89,26 +92,17 @@ class EstimatorConfig:
 
     @classmethod
     def from_dict(cls, cfg: dict, seed_override: int | None = None) -> "EstimatorConfig":
-        if not isinstance(cfg, dict):
-            raise ConfigError("configuration must be a JSON object")
-        if "phi" in cfg:
+        """Read a JSON configuration with the keys of ``_ESTIMATOR_KEYS``;
+        ``seed_override``, when given, replaces its seed."""
+        if isinstance(cfg, dict) and "phi" in cfg:
             raise ConfigError(
                 "the Monte Carlo runs take a power 'alpha', not 'phi'; "
                 "weight functions run through 'estimate' and 'limit'"
             )
-        model = model_from_config(cfg)
-        _refuse_unknown_keys(cfg, _model_config_keys(cfg["model"]) | {f.name for f in fields(cls)})
-        seed = cfg.get("seed", 0) if seed_override is None else seed_override
-        alpha = cfg.get("alpha")
-        return cls(
-            model=model,
-            j=cfg.get("j", 1),
-            alpha=float(alpha) if alpha is not None else None,
-            n_grid=tuple(cfg.get("n_grid", ())),
-            replications=cfg.get("replications", 1),
-            seed=seed,
-            q=cfg.get("q", 1),
-        )
+        values = _read_config(cfg, _ESTIMATOR_KEYS)
+        if seed_override is not None:
+            values["seed"] = seed_override
+        return cls(**values)
 
     def require_alpha(self) -> float:
         if self.alpha is None:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import shutil
@@ -11,7 +12,9 @@ import pytest
 
 import nnsums
 from nnsums import PointSet
-from nnsums.cli import main
+from nnsums.cli import _CHECK_KEYS, _DIVERGE_KEYS, _ESTIMATE_KEYS, _LIMIT_KEYS, main
+from nnsums.densities import _CATALOG
+from nnsums.experiments import _ESTIMATOR_KEYS
 
 
 def _write_config(tmp_path, name, payload):
@@ -266,6 +269,139 @@ def test_bad_configs_exit_nonzero(tmp_path, capsys):
     notjson = tmp_path / "notjson.json"
     notjson.write_text("{{{")
     assert main(["check", "--config", str(notjson)]) == 2
+
+
+POWER = {"model": "power_law", "d": 2, "beta": 6.0}
+COUNTER = {"model": "counterexample", "d": 2, "r": 1.0}
+RUN = {"n_grid": [20, 40], "replications": 2}
+
+# subcommand -> (a valid configuration, the table of keys it reads)
+_KIND_CASES = {
+    "estimate": ({"points": "pts.csv", "alpha": 1.0}, _ESTIMATE_KEYS),
+    "converge": (dict(POWER, alpha=1.0, **RUN), _ESTIMATOR_KEYS),
+    "entropy": (
+        {k: v for k, v in UNIFORM_CONVERGE.items() if k != "alpha"} | {"rho": 0.5},
+        {k: v for k, v in _ESTIMATOR_KEYS.items() if k != "alpha"} | {"rho": ("float", None)},
+    ),
+    "probe": (dict(COUNTER, alpha=0.5, p=2.0, **RUN), _ESTIMATOR_KEYS | {"p": ("float", 1.0)}),
+    "diverge": (dict(COUNTER, alpha=1.5, k_grid=[2, 3]), _DIVERGE_KEYS),
+    "check": (dict(POWER, alpha=1.0), _CHECK_KEYS),
+    "limit": ({"model": "gaussian", "d": 2, "alpha": 1.0}, _LIMIT_KEYS),
+}
+_BAD_VALUES = {"int": (True, "2", 1.5), "float": (True, "1.0", math.inf)}
+
+
+def _kind_cases():
+    for command, (cfg, table) in _KIND_CASES.items():
+        if "model" in table:
+            table = {**table, "d": ("int", None), **_CATALOG[cfg["model"]][0]}
+        for key, (kind, _) in table.items():
+            for bad in _BAD_VALUES.get(kind, ()):
+                yield pytest.param(command, key, bad, id=f"{command}-{key}={bad!r}")
+
+
+def _run_config(tmp_path, command, payload, *flags):
+    PointSet([0.0, 1.0, 3.0]).to_csv(tmp_path / "pts.csv")
+    if payload.get("points") == "pts.csv":
+        payload = dict(payload, points=str(tmp_path / "pts.csv"))
+    cfg = _write_config(tmp_path, "cfg.json", payload)
+    return main([command, "--config", cfg, *flags])
+
+
+@pytest.mark.parametrize("command", sorted(_KIND_CASES))
+def test_kind_case_configs_run(tmp_path, command):
+    assert _run_config(tmp_path, command, _KIND_CASES[command][0]) == 0
+
+
+@pytest.mark.parametrize("command, key, bad", _kind_cases())
+def test_int_and_float_keys_refuse_other_kinds(tmp_path, capsys, command, key, bad):
+    # bools, strings and non-integral or non-finite numbers were once
+    # truncated, coerced or passed on to fail later
+    payload = dict(_KIND_CASES[command][0], **{key: bad})
+    assert _run_config(tmp_path, command, payload) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"{key!r} must be" in err
+
+
+# One case per configuration that once exited 0 with a different run than
+# the one asked for, or exited 1 with a traceback: (subcommand, the keys
+# changed in its _KIND_CASES configuration, the key the error must name).
+_REFUSED = {
+    "converge-j-float": ("converge", {"j": 1.7}, "'j'"),
+    "converge-replications-float": ("converge", {"replications": 2.5}, "'replications'"),
+    "converge-n_grid-floats": ("converge", {"n_grid": [50.9, 100.2]}, "'n_grid'"),
+    "converge-n_grid-integral-float": ("converge", {"n_grid": [100.0]}, "'n_grid'"),
+    "converge-seed-bool": ("converge", {"seed": True}, "'seed'"),
+    "converge-replications-bool": ("converge", {"replications": True}, "'replications'"),
+    "converge-alpha-string": ("converge", {"alpha": "1.0"}, "'alpha'"),
+    "converge-beta-string": ("converge", {"beta": "6"}, "'beta'"),
+    "diverge-j-float": ("diverge", {"j": 1.9}, "'j'"),
+    "diverge-r-bool": ("diverge", {"r": True}, "'r'"),
+    "diverge-k_grid-string": ("diverge", {"k_grid": "234"}, "'k_grid'"),
+    "diverge-k_grid-and-range": ("diverge", {"k_min": 2, "k_max": 4}, "'k_grid'"),
+    "limit-j-float": ("limit", {"j": 2.9}, "'j'"),
+    "limit-tol-infinite": ("limit", {"tol": math.inf}, "'tol'"),
+    "limit-phi-list": ("limit", {"alpha": None, "phi": ["sqrt"]}, "'phi'"),
+    "check-q-float": ("check", {"q": 1.5}, "'q'"),
+    "estimate-q-3": ("estimate", {"q": 3}, "'q'"),
+    "estimate-points-int": ("estimate", {"points": 5}, "'points'"),
+    "entropy-alpha-ignored": ("entropy", {"alpha": 1.0}, "'alpha'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED))
+def test_refused_config_values(tmp_path, capsys, case):
+    command, changes, named = _REFUSED[case]
+    payload = {k: v for k, v in (_KIND_CASES[command][0] | changes).items() if v is not None}
+    assert _run_config(tmp_path, command, payload) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert named in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("estimate", "--seed"),
+        ("estimate", "--force"),
+        ("check", "--seed"),
+        ("check", "--force"),
+        ("limit", "--seed"),
+        ("limit", "--force"),
+        ("probe", "--force"),
+    ],
+)
+def test_flags_a_subcommand_does_not_read_are_refused(tmp_path, capsys, command, flag):
+    payload, _ = _KIND_CASES[command]
+    with pytest.raises(SystemExit) as exc:
+        _run_config(tmp_path, command, payload, *([flag, "3"] if flag == "--seed" else [flag]))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_missing_points_file_is_an_error_not_a_traceback(tmp_path, capsys):
+    payload = {"points": str(tmp_path / "nope.csv"), "alpha": 1.0}
+    assert main(["estimate", "--config", _write_config(tmp_path, "e.json", payload)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nope.csv" in err
+
+
+def test_unwritable_out_is_an_error_not_a_traceback(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "c.json", dict(UNIFORM_CONVERGE, replications=2))
+    out = tmp_path / "no-such-dir" / "r.json"
+    assert main(["converge", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "no-such-dir" in err
+
+
+@pytest.mark.parametrize("command", ["check", "limit"])
+def test_json_reports_refuse_other_suffixes(tmp_path, capsys, command):
+    out = tmp_path / "report.csv"
+    assert _run_config(tmp_path, command, _KIND_CASES[command][0], "--out", str(out)) == 2
+    assert "must end in .json" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _run(argv, child_path=True):

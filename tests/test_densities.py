@@ -544,6 +544,30 @@ def test_model_from_config_errors():
         )
 
 
+def _union(body):
+    return {"model": "uniform_union", "d": 1, "bodies": [body]}
+
+
+@pytest.mark.parametrize(
+    "cfg, key",
+    [
+        ({"model": "gaussian", "d": True}, "'d'"),
+        ({"model": "gaussian", "d": 2.0}, "'d'"),
+        ({"model": ["gaussian"], "d": 2}, "unknown model"),
+        ({"model": "power_law", "d": 2, "beta": "6"}, "'beta'"),
+        ({"model": "counterexample", "d": 2, "r": math.inf}, "'r'"),
+        ({"model": "uniform_union", "d": 2, "bodies": {"type": "box"}}, "'bodies'"),
+        (_union({"type": "box", "lo": ["0"], "hi": [1]}), "'lo'"),
+        (_union({"type": "ball", "center": [0], "radius": True}), "'radius'"),
+        (_union({"type": "box", "lo": [0], "hi": [1], "color": 1}), "'color'"),
+    ],
+)
+def test_model_from_config_refuses_wrong_kinds(cfg, key):
+    # each value was once converted or ignored, building some other model
+    with pytest.raises(ConfigError, match=key):
+        model_from_config(cfg)
+
+
 def test_sample_n_returns_point_set(catalog):
     xs = sample_n(catalog["uniform"], 10, seed=1)
     assert isinstance(xs, PointSet)

@@ -95,6 +95,12 @@ def test_config_from_dict_rejects_unknown_keys():
     assert cfg.model.beta == 6.0
 
 
+def test_config_from_dict_reads_json_integers_as_floats():
+    # "alpha": 1 and "alpha": 1.0 must give the same report bytes
+    cfg = EstimatorConfig.from_dict({"model": "gaussian", "d": 2, "alpha": 1, "n_grid": [10]})
+    assert type(cfg.alpha) is float
+
+
 # ---------------------------------------------------------------------------
 # Mann-Kendall trend statistic
 

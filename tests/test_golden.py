@@ -5,12 +5,17 @@ the same bytes. Each digest below is the sha256 of a report written by
 ``ExperimentResult.write_json`` (or of an ``EdgeList.to_csv`` file), so a
 change to sampling, to the neighbor search, to the reduction or to the
 replication sweep that moves even the last bit of one value fails here.
+The CLI digests pin the ``--out`` report of ``nnsums converge``, ``diverge``
+and ``check``, so a change to how a JSON configuration is read that alters
+any value the run receives fails too.
 The digests were taken with numpy 2.4 and scipy 1.17 on x86-64.
 """
 
 import hashlib
+import json
 
 import numpy as np
+import pytest
 
 from nnsums import (
     AnnulusBallCounterexample,
@@ -23,6 +28,7 @@ from nnsums import (
     run_divergence,
     run_moment_probe,
 )
+from nnsums.cli import main
 
 
 def _json_digest(result, tmp_path) -> str:
@@ -83,3 +89,58 @@ def test_mst_edge_list_digest(tmp_path):
     assert _edges_digest(build_mst(PointSet(grid)), tmp_path) == (
         "64a5f10a7db4241c192dbb2876a51e6e71395f10d8701bdc6278d288b3978285"
     )
+
+
+_CLI_CONFIGS = {
+    "converge": {
+        "model": "uniform_union",
+        "d": 2,
+        "bodies": [
+            {"type": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]},
+            {"type": "ball", "center": [3.0, 0.5], "radius": 0.5},
+        ],
+        "j": 2,
+        "alpha": 1.0,
+        "n_grid": [5, 60, 300],
+        "replications": 3,
+        "seed": 11,
+        "q": 2,
+    },
+    "diverge": {
+        "model": "counterexample",
+        "d": 2,
+        "r": 1.0,
+        "alpha": 1.5,
+        "k_min": 2,
+        "k_max": 6,
+        "replications": 4,
+        "seed": 3,
+        "j": 1,
+    },
+    "check": {"model": "power_law", "d": 3, "beta": 7, "alpha": 1.0, "q": 2},
+}
+
+
+@pytest.mark.parametrize(
+    "command, digest",
+    [
+        (
+            "converge",
+            "dc149d3a5b702015b8fe5894e7c35600d4ae3186fc637b108a93ca9d6809c738",
+        ),
+        (
+            "diverge",
+            "9da9a842e254a24ba77c11c1eb642f552aa3718ee3f6ad4bf598ee50167bf9ce",
+        ),
+        (
+            "check",
+            "bcd956b4737b699cb948d708db56615932851cb8cd457fbe5e46253d35bfac51",
+        ),
+    ],
+)
+def test_cli_report_digest(tmp_path, capsys, command, digest):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_CLI_CONFIGS[command]))
+    out = tmp_path / "r.json"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
