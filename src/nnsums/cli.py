@@ -160,6 +160,8 @@ def _cmd_diverge(args) -> int:
     v = _read_config(_load_config(args.config), _DIVERGE_KEYS)
     k_grid, k_min, k_max = v["k_grid"], v["k_min"], v["k_max"]
     if k_grid is None and None not in (k_min, k_max):
+        if k_min > k_max:
+            raise ConfigError(f"'k_min' ({k_min}) must not exceed 'k_max' ({k_max})")
         k_grid = range(k_min, k_max + 1)
     elif k_grid is None or (k_min, k_max) != (None, None):
         raise ConfigError("diverge needs either 'k_grid' or both 'k_min' and 'k_max'")

@@ -9,14 +9,14 @@ identical configurations reproduce byte-identical reports.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import norm as _norm
+from scipy.special import ndtr
 
 from .conditions import check_divergence, condition_report
 from .densities import _MODEL, _REQUIRED, DensityModel, _read_config
@@ -87,6 +87,11 @@ class EstimatorConfig:
             raise ConfigError("sample sizes must be positive")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError(f"n_grid must be strictly increasing, got {grid}")
+        if grid and grid[0] <= self.j:
+            raise ConfigError(
+                f"n_grid size n={grid[0]} holds at most j={self.j} points, so no point "
+                "has a j-th neighbour and the sum is always 0"
+            )
         if self.alpha is not None and not math.isfinite(self.alpha):
             raise ConfigError(f"alpha must be finite, got {self.alpha}")
 
@@ -145,33 +150,53 @@ class MannKendallResult:
     p_increasing: float
 
 
+def _inversion_counts(multiplicities) -> list:
+    """Number of distinct arrangements of a multiset with each inversion count.
+
+    Coefficient i of the q-multinomial [m]_q! / prod_g [m_g]_q!, with
+    [k]_q = 1 + q + ... + q^(k-1) and m the sum of the multiplicities m_g
+    (Knuth, TAOCP vol. 3, 5.1.2): the numerator is built by products, then
+    divided exactly by each [k]_q of the denominator.
+    """
+    counts = [1]
+    for k in range(2, sum(multiplicities) + 1):
+        counts = [sum(counts[max(0, i - k + 1) : i + 1]) for i in range(len(counts) + k - 1)]
+    for mult in multiplicities:
+        for k in range(2, mult + 1):
+            # counts = quotient * [k]_q, so quotient[i] = counts[i] - counts[i-1] + quotient[i-k]
+            quotient = []
+            for i in range(len(counts) - k + 1):
+                below = counts[i - 1] if i else 0
+                quotient.append(counts[i] - below + (quotient[i - k] if i >= k else 0))
+            counts = quotient
+    return counts
+
+
 def mann_kendall_increasing(values) -> MannKendallResult:
     """Mann-Kendall test for an increasing trend.
 
     Exact permutation p-value up to 8 observations, normal approximation
-    with continuity correction beyond that.
+    with continuity correction beyond that. The exact branch counts
+    inversions instead of walking the m! permutations: a permutation of the
+    values has S = T - 2 * inv, with T the number of untied pairs, so the
+    share of permutations with S >= s is the share of distinct arrangements
+    with at most (T - s) / 2 inversions (Kendall & Gibbons, Rank Correlation
+    Methods, 1990). The ratio of the two integer counts rounds once, so p is
+    the float the permutation walk gives.
     """
     vals = [float(v) for v in values]
     m = len(vals)
-
-    def s_stat(seq) -> int:
-        return sum(
-            (seq[b] > seq[a]) - (seq[b] < seq[a])
-            for a in range(len(seq))
-            for b in range(a + 1, len(seq))
-        )
-
-    s = s_stat(vals)
+    s = sum(
+        (vals[b] > vals[a]) - (vals[b] < vals[a]) for a in range(m) for b in range(a + 1, m)
+    )
     if m < 3:
         return MannKendallResult(s=s, p_increasing=1.0 if s <= 0 else 0.5)
     if m <= 8:
-        total = 0
-        at_least = 0
-        for perm in itertools.permutations(vals):
-            total += 1
-            if s_stat(perm) >= s:
-                at_least += 1
-        return MannKendallResult(s=s, p_increasing=at_least / total)
+        multiplicities = list(Counter(vals).values())
+        untied = m * (m - 1) // 2 - sum(g * (g - 1) // 2 for g in multiplicities)
+        counts = _inversion_counts(multiplicities)
+        at_least = sum(counts[: (untied - s) // 2 + 1])
+        return MannKendallResult(s=s, p_increasing=at_least / sum(counts))
     var = m * (m - 1) * (2 * m + 5) / 18.0
     if s > 0:
         z = (s - 1) / math.sqrt(var)
@@ -179,7 +204,7 @@ def mann_kendall_increasing(values) -> MannKendallResult:
         z = (s + 1) / math.sqrt(var)
     else:
         z = 0.0
-    return MannKendallResult(s=s, p_increasing=float(_norm.sf(z)))
+    return MannKendallResult(s=s, p_increasing=float(ndtr(-z)))
 
 
 @dataclass(frozen=True)
@@ -429,6 +454,9 @@ def run_divergence(
     """
     if replications < 1:
         raise ConfigError(f"replications must be >= 1, got {replications}")
+    k_grid = tuple(k_grid)
+    if not k_grid:
+        raise ConfigError("k_grid must not be empty")
     if not check_divergence(model, alpha) and not force:
         raise ConditionRefused(
             f"divergence conditions do not hold for {model!r} with alpha={alpha}; "

@@ -79,7 +79,7 @@ def poisson_nn_tail(tau: float, d: int, j: int, t) -> float | np.ndarray:
     if tau <= 0:
         raise ValueError(f"intensity must be positive, got {tau}")
     if j < 1:
-        raise ValueError(f"neighbor rank must be >= 1, got {j}")
+        raise ValueError(f"neighbor rank j must be >= 1, got {j}")
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("distances must be nonnegative")
@@ -152,6 +152,8 @@ def poisson_expectation(
     """
     if tau <= 0:
         raise ValueError(f"intensity must be positive, got {tau}")
+    if j < 1:
+        raise ValueError(f"neighbor rank j must be >= 1, got {j}")
     scale = tau * unit_ball_volume(d)
     inv_d = 1.0 / d
     log_gamma_j = math.lgamma(j)

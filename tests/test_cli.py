@@ -325,8 +325,9 @@ def test_int_and_float_keys_refuse_other_kinds(tmp_path, capsys, command, key, b
 
 
 # One case per configuration that once exited 0 with a different run than
-# the one asked for, or exited 1 with a traceback: (subcommand, the keys
-# changed in its _KIND_CASES configuration, the key the error must name).
+# the one asked for, or failed with a traceback or an error naming no key:
+# (subcommand, the keys changed in its _KIND_CASES configuration, the text
+# the error must hold).
 _REFUSED = {
     "converge-j-float": ("converge", {"j": 1.7}, "'j'"),
     "converge-replications-float": ("converge", {"replications": 2.5}, "'replications'"),
@@ -347,6 +348,15 @@ _REFUSED = {
     "estimate-q-3": ("estimate", {"q": 3}, "'q'"),
     "estimate-points-int": ("estimate", {"points": 5}, "'points'"),
     "entropy-alpha-ignored": ("entropy", {"alpha": 1.0}, "'alpha'"),
+    "diverge-k_grid-empty": ("diverge", {"k_grid": []}, "k_grid must not be empty"),
+    "diverge-k_min-above-k_max": (
+        "diverge",
+        {"k_grid": None, "k_min": 5, "k_max": 3},
+        "'k_min' (5) must not exceed 'k_max' (3)",
+    ),
+    "converge-j-at-least-n": ("converge", {"j": 20}, "n=20 holds at most j=20"),
+    "probe-j-at-least-n": ("probe", {"j": 25}, "n=20 holds at most j=25"),
+    "limit-j-zero": ("limit", {"j": 0}, "rank j must be >= 1"),
 }
 
 
@@ -441,6 +451,13 @@ def test_console_entry_point():
 @pytest.mark.skipif(shutil.which("nnsums") is None, reason="nnsums console script is not installed")
 def test_installed_console_script():
     _assert_help_lists_subcommands(_run([shutil.which("nnsums"), "--help"], child_path=False))
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats took about half of the import time of nnsums
+    proc = _run([sys.executable, "-c", "import nnsums, sys; print('scipy.stats' in sys.modules)"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_module_entry_point(tmp_path):

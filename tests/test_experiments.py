@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -133,6 +135,69 @@ def test_mann_kendall_handles_ties():
 def test_mann_kendall_short_sequences():
     assert mann_kendall_increasing([1.0, 2.0]).p_increasing == 0.5
     assert mann_kendall_increasing([2.0, 1.0]).p_increasing == 1.0
+
+
+def _s_stat(seq) -> int:
+    return sum(
+        (seq[b] > seq[a]) - (seq[b] < seq[a])
+        for a in range(len(seq))
+        for b in range(a + 1, len(seq))
+    )
+
+
+def _mann_kendall_oracle(values, walks: dict):
+    """(s, p) of the exact branch by walking all m! permutations.
+
+    S depends on the values only through their order, so the walk's
+    histogram of S is kept in ``walks`` per sorted tuple of dense ranks.
+    """
+    vals = [float(v) for v in values]
+    rank = {v: r for r, v in enumerate(sorted(set(vals)))}
+    key = tuple(sorted(rank[v] for v in vals))
+    if key not in walks:
+        perms = np.array(list(itertools.permutations(key)))
+        pairs = itertools.combinations(range(len(key)), 2)
+        s_perms = sum(np.sign(perms[:, b] - perms[:, a]) for a, b in pairs)
+        walks[key] = Counter(s_perms.tolist())
+    s = _s_stat(vals)
+    at_least = sum(count for s_perm, count in walks[key].items() if s_perm >= s)
+    return s, at_least / sum(walks[key].values())
+
+
+def _mann_kendall_inputs(rng, sizes, count):
+    """``count`` sequences with lengths cycling through ``sizes``; every
+    second cycle draws from fewer integers than the length, so it has ties."""
+    for i in range(count):
+        m = sizes[i % len(sizes)]
+        if i // len(sizes) % 2:
+            yield [float(v) for v in rng.integers(0, rng.integers(1, m), size=m)]
+        else:
+            yield rng.normal(size=m).tolist()
+
+
+def test_mann_kendall_exact_branch_matches_permutation_walk():
+    rng = np.random.default_rng(20261018)
+    cases = list(_mann_kendall_inputs(rng, range(3, 9), 600))
+    cases += [[2.5] * m for m in range(3, 9)]
+    cases += [[1.0, 3.0, 2.0, 3.0, 1.0, 2.0, 3.0, 1.0], [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 2.0]]
+    walks: dict = {}
+    for vals in cases:
+        out = mann_kendall_increasing(vals)
+        assert (out.s, out.p_increasing) == _mann_kendall_oracle(vals, walks), vals
+    assert sum(len(set(v)) < len(v) for v in cases) >= len(cases) // 2
+
+
+def test_mann_kendall_normal_branch_matches_scipy_stats():
+    from scipy.stats import norm
+
+    rng = np.random.default_rng(7)
+    for vals in _mann_kendall_inputs(rng, range(9, 31), 220):
+        m = len(vals)
+        out = mann_kendall_increasing(vals)
+        assert out.s == _s_stat(vals)
+        sd = math.sqrt(m * (m - 1) * (2 * m + 5) / 18.0)
+        z = (out.s - 1) / sd if out.s > 0 else (out.s + 1) / sd if out.s < 0 else 0.0
+        assert out.p_increasing == float(norm.sf(z)), vals
 
 
 # ---------------------------------------------------------------------------
