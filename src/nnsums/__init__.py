@@ -2,10 +2,10 @@
 
 The package computes exact j-th nearest-neighbor distances, the power
 sums S_{n,alpha} built from them, the closed-form constants and entropy
-transforms they converge to, a density catalog with known integrals and
-moments, condition checks deciding which convergence guarantee applies,
-minimum-spanning-tree edge functionals, and a reproducible Monte Carlo
-experiment harness with a CLI.
+transforms they converge to, a density catalog with known integrals of
+f^rho, critical moments and annulus masses, condition checks deciding
+which convergence guarantee applies, minimum-spanning-tree edge
+functionals, and a reproducible Monte Carlo experiment harness with a CLI.
 """
 
 from .conditions import (

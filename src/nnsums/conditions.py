@@ -31,11 +31,6 @@ from dataclasses import dataclass, field
 
 from .densities import DensityModel
 
-# numeric fallback window and sanity bounds for the shell-ratio condition
-_REG_WINDOW_START = 3
-_REG_WINDOW_LEN = 21
-_REG_RATIO_BOUNDS = (1e-6, 1e6)
-
 _BOUNDARY_RTOL = 1e-12
 
 
@@ -97,20 +92,6 @@ def check_power_tail(model: DensityModel, alpha: float) -> bool:
     return model.i_rho_is_finite(1.0 - alpha / d)
 
 
-def _shell_regularity_numeric(model: DensityModel) -> bool:
-    lo, hi = _REG_RATIO_BOUNDS
-    masses = [
-        model.annulus_mass(k)
-        for k in range(_REG_WINDOW_START - 1, _REG_WINDOW_START + _REG_WINDOW_LEN)
-    ]
-    for prev, cur in zip(masses, masses[1:]):
-        if prev <= 0.0 or cur <= 0.0:
-            return False
-        if not lo <= cur / prev <= hi:
-            return False
-    return True
-
-
 def check_divergence(model: DensityModel, alpha: float) -> bool:
     """Unbounded-mean condition: 0 < alpha < d, critical moment below
     alpha*d/(d-alpha), and regular shell-mass decay."""
@@ -120,10 +101,7 @@ def check_divergence(model: DensityModel, alpha: float) -> bool:
     r_c = model.critical_moment()
     if not r_c < alpha * d / (d - alpha):
         return False
-    certified = model.shell_regularity()
-    if certified is None:
-        return _shell_regularity_numeric(model)
-    return certified
+    return model.shell_regularity()
 
 
 @dataclass
@@ -191,10 +169,5 @@ def condition_report(model: DensityModel, alpha: float, q: int) -> ConditionRepo
         report.notes.append(
             f"alpha = {alpha:g} sits at an open-interval endpoint of the "
             "admissible range: no guarantee"
-        )
-    if report.divergence and model.shell_regularity() is None:
-        report.notes.append(
-            "shell-mass regularity established numerically over "
-            f"annuli k = {_REG_WINDOW_START - 1}..{_REG_WINDOW_START + _REG_WINDOW_LEN - 1}"
         )
     return report

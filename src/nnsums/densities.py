@@ -1,11 +1,11 @@
 """Density catalog: sampling models with analytic or semianalytic summaries.
 
 Each model supplies pdf evaluation, exact sampling, the integral of f^rho,
-absolute moments with their critical order, and the probability mass of
-the dyadic annuli A_k (inner radius 2^k, outer 2^(k+1), with A_0 the ball
-of radius 2). Those are exactly the quantities the convergence and
-divergence conditions are phrased in, so the catalog doubles as ground
-truth for the Monte Carlo experiments.
+the critical moment (the supremum of the orders r with E|X|^r finite),
+and the probability mass of the dyadic annuli A_k (inner radius 2^k, outer
+2^(k+1), with A_0 the ball of radius 2). Those are exactly the quantities
+the convergence and divergence conditions are phrased in, so the catalog
+doubles as ground truth for the Monte Carlo experiments.
 
 Models:
 
@@ -34,8 +34,6 @@ from scipy.special import betainc, betainccinv, betaincinv, gammainc
 from .errors import ConfigError, QuadratureBudgetExceeded
 from .limits import unit_ball_volume
 from .points import PointSet
-
-_NORMALIZATION_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -89,28 +87,6 @@ def _box_ball_volume(lo, hi, radius: float) -> float:
         return _box_ball_volume(rest_lo, rest_hi, math.sqrt(max(rsq - x * x, 0.0)))
 
     val, _ = integrate.quad(section, a, b, limit=100)
-    return val
-
-
-def _ball_abs_moment_integral(center_norm: float, radius: float, d: int, power: float) -> float:
-    """Integral of |x|^power over a ball of the given radius whose center
-    sits ``center_norm`` away from the origin."""
-    if d == 1:
-        lo, hi = center_norm - radius, center_norm + radius
-        pts = [0.0] if lo < 0.0 < hi else None
-        val, _ = integrate.quad(lambda t: abs(t) ** power, lo, hi, points=pts, limit=100)
-        return val
-    # Split by the angle psi between the point offset and the center
-    # direction: |c + t*theta|^2 = c^2 + t^2 + 2*c*t*cos(psi), and the
-    # spherical slice at angle psi has area (d-1)*omega_{d-1}*sin(psi)^(d-2).
-    ring = (d - 1) * unit_ball_volume(d - 1)
-    csq = center_norm * center_norm
-
-    def integrand(psi: float, t: float) -> float:
-        norm_sq = csq + t * t + 2.0 * center_norm * t * math.cos(psi)
-        return ring * math.sin(psi) ** (d - 2) * t ** (d - 1) * norm_sq ** (power / 2.0)
-
-    val, _ = integrate.dblquad(integrand, 0.0, radius, 0.0, math.pi)
     return val
 
 
@@ -171,16 +147,6 @@ class Box:
         if s >= self.bounding_radius:
             return self.volume
         return _box_ball_volume(self.lo, self.hi, s)
-
-    def abs_moment_integral(self, power: float) -> float:
-        ranges = list(zip(self.lo, self.hi))
-        val, _ = integrate.nquad(
-            lambda *x: math.sqrt(sum(v * v for v in x)) ** power, ranges
-        )
-        return val
-
-    def numeric_volume(self) -> float:
-        return _box_ball_volume(self.lo, self.hi, self.bounding_radius * (1.0 + 1e-9))
 
 
 @dataclass(frozen=True)
@@ -246,12 +212,6 @@ class Ball:
             return self.volume
         return _ball_ball_volume(self.center_norm, self.radius, s, self.dim)
 
-    def abs_moment_integral(self, power: float) -> float:
-        return _ball_abs_moment_integral(self.center_norm, self.radius, self.dim, power)
-
-    def numeric_volume(self) -> float:
-        return _cap_volume(self.radius, 2.0 * self.radius, self.dim)
-
 
 def _bodies_overlap(a, b) -> bool:
     if isinstance(a, Box) and isinstance(b, Box):
@@ -272,10 +232,11 @@ def _bodies_overlap(a, b) -> bool:
 class DensityModel(ABC):
     """A sampling density together with its analytic summaries.
 
-    Subclasses are immutable after construction and verify their own
-    normalization numerically (tolerance 1e-6) when built. Sampling takes
-    a caller-supplied generator; one generator must not be shared across
-    concurrent callers, but distinct generators may run in parallel.
+    Subclasses are immutable after construction, and their normalizing
+    constants are closed forms, so building one runs no quadrature.
+    Sampling takes a caller-supplied generator; one generator must not be
+    shared across concurrent callers, but distinct generators may run in
+    parallel.
     """
 
     name: str = "abstract"
@@ -305,10 +266,6 @@ class DensityModel(ABC):
 
     def i_rho_is_finite(self, rho: float) -> bool:
         return math.isfinite(self.i_rho(rho))
-
-    @abstractmethod
-    def moment(self, r: float) -> float:
-        """r-th absolute moment E|X|^r; ``math.inf`` when divergent."""
 
     @abstractmethod
     def critical_moment(self) -> float:
@@ -344,12 +301,11 @@ class DensityModel(ABC):
         """beta when the density decays like |x|^(-beta), else None."""
         return None
 
-    def shell_regularity(self) -> bool | None:
+    @abstractmethod
+    def shell_regularity(self) -> bool:
         """Analytic verdict on the shell-mass ratio condition: consecutive
         annulus masses F(A_k)/F(A_{k-1}) bounded away from 0 and infinity
-        for large k. None means no analytic certificate (check numerically).
-        """
-        return None
+        for large k."""
 
     # -- shared helpers -------------------------------------------------
 
@@ -362,12 +318,6 @@ class DensityModel(ABC):
         if k == 0:
             return radial_cdf(2.0)
         return radial_cdf(2.0 ** (k + 1)) - radial_cdf(2.0**k)
-
-    def _assert_normalized(self, numeric_total: float) -> None:
-        if abs(numeric_total - 1.0) > _NORMALIZATION_TOL:
-            raise ValueError(
-                f"{self.name}: pdf integrates to {numeric_total!r}, not 1"
-            )
 
     def __repr__(self) -> str:
         params = {k: v for k, v in self.to_config().items() if k != "model"}
@@ -425,8 +375,6 @@ class UniformConvexUnion(DensityModel):
                     raise ValueError(f"bodies {i} and {k} overlap")
         self.bodies = bodies
         self.total_volume = sum(b.volume for b in bodies)
-        numeric = sum(b.numeric_volume() for b in bodies) / self.total_volume
-        self._assert_normalized(numeric)
 
     @classmethod
     def unit_cube(cls, d: int) -> "UniformConvexUnion":
@@ -454,11 +402,6 @@ class UniformConvexUnion(DensityModel):
     def i_rho(self, rho):
         # exact for every real rho: the pdf is constant on a bounded support
         return self.total_volume ** (1.0 - rho)
-
-    def moment(self, r):
-        if r <= 0:
-            raise ValueError(f"moment order must be positive, got {r}")
-        return sum(b.abs_moment_integral(r) for b in self.bodies) / self.total_volume
 
     def critical_moment(self):
         return math.inf
@@ -505,18 +448,6 @@ class GaussianStandard(DensityModel):
 
     name = "gaussian"
 
-    def __init__(self, dim: int):
-        super().__init__(dim)
-        numeric, _ = integrate.quad(
-            lambda s: self.dim
-            * unit_ball_volume(self.dim)
-            * s ** (self.dim - 1)
-            * self._profile(s),
-            0.0,
-            np.inf,
-        )
-        self._assert_normalized(numeric)
-
     def _profile(self, s: float) -> float:
         return (2.0 * math.pi) ** (-self.dim / 2.0) * math.exp(-0.5 * s * s)
 
@@ -533,16 +464,6 @@ class GaussianStandard(DensityModel):
         if rho <= 0:
             return math.inf
         return rho ** (-self.dim / 2.0) * (2.0 * math.pi) ** (self.dim * (1.0 - rho) / 2.0)
-
-    def moment(self, r):
-        if r <= 0:
-            raise ValueError(f"moment order must be positive, got {r}")
-        # |X| is chi-distributed with d degrees of freedom
-        return math.exp(
-            0.5 * r * math.log(2.0)
-            + math.lgamma((self.dim + r) / 2.0)
-            - math.lgamma(self.dim / 2.0)
-        )
 
     def critical_moment(self):
         return math.inf
@@ -586,13 +507,6 @@ class PowerLawTail(DensityModel):
         self.beta = beta
         log_b = math.lgamma(dim) + math.lgamma(beta - dim) - math.lgamma(beta)
         self.c_beta = 1.0 / (dim * unit_ball_volume(dim) * math.exp(log_b))
-        numeric, _ = integrate.quad(
-            lambda s: dim * unit_ball_volume(dim) * s ** (dim - 1) * self._profile(s),
-            0.0,
-            np.inf,
-            limit=200,
-        )
-        self._assert_normalized(numeric)
 
     def _profile(self, s: float) -> float:
         return self.c_beta * (1.0 + s) ** (-self.beta)
@@ -636,28 +550,13 @@ class PowerLawTail(DensityModel):
     def i_rho(self, rho):
         if self.beta * rho <= self.dim:
             return math.inf
-        value, _ = integrate.quad(
-            lambda s: s ** (self.dim - 1) * (1.0 + s) ** (-self.beta * rho),
-            0.0,
-            np.inf,
-            limit=200,
-        )
-        return self.c_beta**rho * self.dim * unit_ball_volume(self.dim) * value
+        # c_beta^rho * d * omega_d * B(d, beta * rho - d), as for c_beta at rho = 1
+        b = self.beta * rho
+        log_b = math.lgamma(self.dim) + math.lgamma(b - self.dim) - math.lgamma(b)
+        return self.c_beta**rho * self.dim * unit_ball_volume(self.dim) * math.exp(log_b)
 
     def i_rho_is_finite(self, rho):
         return self.beta * rho > self.dim
-
-    def moment(self, r):
-        if r <= 0:
-            raise ValueError(f"moment order must be positive, got {r}")
-        if r >= self.beta - self.dim:
-            return math.inf
-        log_b = (
-            math.lgamma(self.dim + r)
-            + math.lgamma(self.beta - self.dim - r)
-            - math.lgamma(self.beta)
-        )
-        return self.c_beta * self.dim * unit_ball_volume(self.dim) * math.exp(log_b)
 
     def critical_moment(self):
         return self.beta - self.dim
@@ -705,10 +604,8 @@ class AnnulusBallCounterexample(DensityModel):
         self.r = r
         self._omega = unit_ball_volume(dim)
         # sum_{k>=2} 2^(-r k) = 2^(-2r) / (1 - 2^(-r))
-        self._shell_sum = 2.0 ** (-2.0 * r) / (1.0 - 2.0 ** (-r))
-        self.c_norm = 1.0 / (self._omega * self._shell_sum)
-        numeric = self.c_norm * Ball(center=(0.0,) * dim, radius=1.0).numeric_volume() * self._shell_sum
-        self._assert_normalized(numeric)
+        shell_sum = 2.0 ** (-2.0 * r) / (1.0 - 2.0 ** (-r))
+        self.c_norm = 1.0 / (self._omega * shell_sum)
 
     def center_coordinate(self, k: int) -> float:
         return 3.0 * 2.0 ** (k - 1)
@@ -753,29 +650,6 @@ class AnnulusBallCounterexample(DensityModel):
             * 2.0 ** (-2.0 * rr)
             / (1.0 - 2.0 ** (-rr))
         )
-
-    def moment(self, q):
-        if q <= 0:
-            raise ValueError(f"moment order must be positive, got {q}")
-        if q >= self.r:
-            return math.inf
-        total = 0.0
-        k = 2
-        while True:
-            mass = self.annulus_mass(k)
-            center = self.center_coordinate(k)
-            total += (
-                mass
-                * _ball_abs_moment_integral(center, 1.0, self.dim, q)
-                / self._omega
-            )
-            # remaining terms are below a geometric envelope with ratio 2^(q-r)
-            envelope = self.annulus_mass(k + 1) * (self.center_coordinate(k + 1) + 1.0) ** q
-            if envelope / (1.0 - 2.0 ** (q - self.r)) < 1e-12 * total:
-                return total
-            k += 1
-            if k > 500:  # pragma: no cover - the envelope shrinks geometrically
-                raise QuadratureBudgetExceeded("moment series did not settle")
 
     def critical_moment(self):
         return self.r

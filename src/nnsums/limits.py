@@ -188,7 +188,6 @@ def poisson_expectation(
 def limit_functional(
     phi,
     density,
-    d: int | None = None,
     j: int = 1,
     budget: QuadratureBudget | None = None,
     return_error: bool = False,
@@ -204,8 +203,6 @@ def limit_functional(
     """
     if budget is None:
         budget = QuadratureBudget()
-    if d is not None and d != density.dim:
-        raise ValueError(f"d={d} does not match density dimension {density.dim}")
     dim = density.dim
     inner_tol = budget.tol / 10.0
 

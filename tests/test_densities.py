@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate
 from scipy.stats import chisquare
 
+import nnsums.densities as densities
 from nnsums import (
     AnnulusBallCounterexample,
     Ball,
@@ -81,6 +82,46 @@ def test_counterexample_rejects_bad_rate():
 def test_power_law_requires_beta_above_d():
     with pytest.raises(ValueError):
         PowerLawTail(2, 2.0)
+
+
+def test_building_a_model_runs_no_quadrature(monkeypatch):
+    # normalizing constants are closed forms; in d = 7 a quadrature that
+    # nests once per dimension would take minutes
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature while building a model")
+
+    for name in ("quad", "dblquad", "nquad"):
+        monkeypatch.setattr(densities.integrate, name, refuse)
+    models = [
+        UniformConvexUnion.unit_cube(7),
+        UniformConvexUnion(
+            [Box(lo=(0.0, 0.0), hi=(1.0, 2.0)), Ball(center=(4.0, 0.0), radius=1.5)]
+        ),
+        GaussianStandard(3),
+        PowerLawTail(2, 6.0),
+        AnnulusBallCounterexample(2, 1.0),
+    ]
+    for model in models:
+        assert model_from_config(model.to_config()).to_config() == model.to_config()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_body_volumes_match_quadrature(d):
+    # the closed-form volumes against the geometry helpers' quadrature of
+    # the part of each body inside a ball that covers it
+    for box in (
+        Box(lo=(0.0,) * d, hi=(1.0,) * d),
+        Box(lo=(-0.5,) + (1.0,) * (d - 1), hi=(1.0,) + (3.0,) * (d - 1)),
+    ):
+        covering = box.bounding_radius * (1.0 + 1e-9)
+        numeric = densities._box_ball_volume(box.lo, box.hi, covering)
+        assert numeric == pytest.approx(box.volume, rel=1e-6)
+    for ball in (
+        Ball(center=(0.0,) * d, radius=1.0),
+        Ball(center=(4.0,) + (0.0,) * (d - 1), radius=1.5),
+    ):
+        numeric = densities._cap_volume(ball.radius, 2.0 * ball.radius, d)
+        assert numeric == pytest.approx(ball.volume, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +402,7 @@ def test_power_i_rho_against_beta_closed_form(catalog):
             * unit_ball_volume(2)
             * math.exp(math.lgamma(2.0) + math.lgamma(b - 2.0) - math.lgamma(b))
         )
-        assert p.i_rho(rho) == pytest.approx(closed, rel=1e-9)
+        assert p.i_rho(rho) == pytest.approx(closed, rel=1e-13)
 
 
 def test_counterexample_i_rho_closed_form_vs_partial_sums(catalog):
@@ -377,6 +418,76 @@ def test_counterexample_i_rho_closed_form_vs_partial_sums(catalog):
 
 # ---------------------------------------------------------------------------
 # moments and critical moments
+#
+# The package reads only the critical moment. The absolute moments E|X|^r
+# are test oracles, checked below against independent quadrature and Monte
+# Carlo.
+
+
+def _box_abs_moment_integral(box, power):
+    ranges = list(zip(box.lo, box.hi))
+    val, _ = integrate.nquad(lambda *x: math.sqrt(sum(v * v for v in x)) ** power, ranges)
+    return val
+
+
+def _ball_abs_moment_integral(center_norm, radius, d, power):
+    """Integral of |x|^power over a ball of the given radius whose center
+    sits ``center_norm`` away from the origin."""
+    if d == 1:
+        lo, hi = center_norm - radius, center_norm + radius
+        pts = [0.0] if lo < 0.0 < hi else None
+        val, _ = integrate.quad(lambda t: abs(t) ** power, lo, hi, points=pts, limit=100)
+        return val
+    # Split by the angle psi between the point offset and the center
+    # direction: |c + t*theta|^2 = c^2 + t^2 + 2*c*t*cos(psi), and the
+    # spherical slice at angle psi has area (d-1)*omega_{d-1}*sin(psi)^(d-2).
+    ring = (d - 1) * unit_ball_volume(d - 1)
+    csq = center_norm * center_norm
+
+    def integrand(psi, t):
+        norm_sq = csq + t * t + 2.0 * center_norm * t * math.cos(psi)
+        return ring * math.sin(psi) ** (d - 2) * t ** (d - 1) * norm_sq ** (power / 2.0)
+
+    val, _ = integrate.dblquad(integrand, 0.0, radius, 0.0, math.pi)
+    return val
+
+
+def _abs_moment(model, r):
+    """r-th absolute moment E|X|^r of a catalog model; ``math.inf`` when divergent."""
+    if r <= 0:
+        raise ValueError(f"moment order must be positive, got {r}")
+    d = model.dim
+    if isinstance(model, UniformConvexUnion):
+        total = sum(
+            _box_abs_moment_integral(b, r)
+            if isinstance(b, Box)
+            else _ball_abs_moment_integral(b.center_norm, b.radius, d, r)
+            for b in model.bodies
+        )
+        return total / model.total_volume
+    if isinstance(model, GaussianStandard):
+        # |X| is chi-distributed with d degrees of freedom
+        return math.exp(
+            0.5 * r * math.log(2.0) + math.lgamma((d + r) / 2.0) - math.lgamma(d / 2.0)
+        )
+    if isinstance(model, PowerLawTail):
+        if r >= model.beta - d:
+            return math.inf
+        log_b = math.lgamma(d + r) + math.lgamma(model.beta - d - r) - math.lgamma(model.beta)
+        return model.c_beta * d * unit_ball_volume(d) * math.exp(log_b)
+    # the counterexample: a series over its unit balls, one per annulus
+    if r >= model.r:
+        return math.inf
+    total = 0.0
+    for k in range(2, 501):
+        mass = model.annulus_mass(k)
+        ball = _ball_abs_moment_integral(model.center_coordinate(k), 1.0, d, r)
+        total += mass * ball / unit_ball_volume(d)
+        # remaining terms are below a geometric envelope with ratio 2^(r - r_c)
+        envelope = model.annulus_mass(k + 1) * (model.center_coordinate(k + 1) + 1.0) ** r
+        if envelope / (1.0 - 2.0 ** (r - model.r)) < 1e-12 * total:
+            return total
+    raise AssertionError("moment series did not settle")
 
 
 def test_critical_moments(catalog):
@@ -389,10 +500,10 @@ def test_critical_moments(catalog):
 def test_gaussian_moment_chi_values(catalog):
     g = catalog["gaussian"]
     # E|X|^2 = d for a standard normal
-    assert g.moment(2.0) == pytest.approx(2.0, rel=1e-12)
+    assert _abs_moment(g, 2.0) == pytest.approx(2.0, rel=1e-12)
     # E|X| = sqrt(pi/2) in the plane
-    assert g.moment(1.0) == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-12)
-    assert math.isfinite(g.moment(7.5))
+    assert _abs_moment(g, 1.0) == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-12)
+    assert math.isfinite(_abs_moment(g, 7.5))
 
 
 def test_power_moment_closed_vs_quadrature(catalog):
@@ -404,20 +515,20 @@ def test_power_moment_closed_vs_quadrature(catalog):
         np.inf,
     )
     assert err < 1e-8
-    assert p.moment(r) == pytest.approx(oracle, rel=1e-9)
+    assert _abs_moment(p, r) == pytest.approx(oracle, rel=1e-9)
 
 
 def test_power_moment_infinite_beyond_critical():
     p = PowerLawTail(2, 4.0)  # r_c = 2
-    assert p.moment(3.0) == math.inf
-    assert p.moment(2.0) == math.inf  # diverges at the critical order too
-    assert math.isfinite(p.moment(1.9))
+    assert _abs_moment(p, 3.0) == math.inf
+    assert _abs_moment(p, 2.0) == math.inf  # diverges at the critical order too
+    assert math.isfinite(_abs_moment(p, 1.9))
 
 
 def test_uniform_moment_numeric_vs_monte_carlo(catalog):
     model = catalog["uniform_mixed"]
     r = 0.5
-    value = model.moment(r)
+    value = _abs_moment(model, r)
     xs = sample_n(model, GOF_SAMPLE, seed=66).coords
     draws = np.linalg.norm(xs, axis=1) ** r
     se = draws.std(ddof=1) / math.sqrt(len(draws))
@@ -426,7 +537,7 @@ def test_uniform_moment_numeric_vs_monte_carlo(catalog):
 
 def test_counterexample_moment_below_critical_vs_monte_carlo(catalog):
     c = catalog["counterexample"]
-    value = c.moment(0.5)
+    value = _abs_moment(c, 0.5)
     assert math.isfinite(value)
     xs = sample_n(c, GOF_SAMPLE, seed=77).coords
     draws = np.linalg.norm(xs, axis=1) ** 0.5
@@ -444,14 +555,15 @@ def test_counterexample_moment_below_critical_vs_monte_carlo(catalog):
 
 def test_counterexample_moment_divergence(catalog):
     c = catalog["counterexample"]
-    assert c.moment(1.0) == math.inf
-    assert c.moment(1.5) == math.inf
+    assert _abs_moment(c, 1.0) == math.inf
+    assert _abs_moment(c, 1.5) == math.inf
 
 
 def test_moment_rejects_nonpositive_order(catalog):
+    # below order 0 the box quadrature meets a pole at the origin
     for model in catalog.values():
         with pytest.raises(ValueError):
-            model.moment(0.0)
+            _abs_moment(model, 0.0)
 
 
 def test_power_empirical_moment_blowup_beyond_critical():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from nnsums import (
+    AnnulusBallCounterexample,
     EntropyValue,
     GaussianStandard,
     InvalidGammaArgument,
@@ -186,9 +187,10 @@ def test_limit_functional_normalization():
     # phi == 1 integrates the density itself
     models = [
         UniformConvexUnion.unit_cube(2),
-        GaussianStandard(2),
-        PowerLawTail(2, 6.0),
+        AnnulusBallCounterexample(2, 1.0),
     ]
+    for d in (1, 2, 3):
+        models += [GaussianStandard(d), PowerLawTail(d, 6.0)]
     for model in models:
         assert limit_functional(lambda t: np.ones_like(t), model, j=1) == pytest.approx(
             1.0, abs=1e-6
@@ -199,11 +201,6 @@ def test_limit_functional_uniform_alpha_one():
     # gamma(2,1,1) * I_{1/2} = 0.5 on the unit square
     value = limit_functional(lambda t: t, UniformConvexUnion.unit_cube(2), j=1)
     assert value == pytest.approx(0.5, rel=1e-6)
-
-
-def test_limit_functional_dimension_mismatch():
-    with pytest.raises(ValueError):
-        limit_functional(lambda t: t, UniformConvexUnion.unit_cube(2), d=3)
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
