@@ -240,6 +240,14 @@ def _cmd_limit(args) -> int:
     model, j, alpha, phi_name = v["model"], v["j"], v["alpha"], v["phi"]
     if (alpha is None) == (phi_name is None):
         raise ConfigError("limit needs exactly one of 'alpha' or 'phi'")
+    if alpha is not None:
+        rho = 1.0 - alpha / model.dim
+        i_val = model.i_rho(rho)
+        if not math.isfinite(i_val):
+            raise ConfigError(
+                f"the limit is infinite: the integral of f^rho diverges at "
+                f"rho = 1 - alpha/d = {rho:g} for this model"
+            )
     budget = QuadratureBudget(tol=v["tol"])
     phi = (lambda t: t**alpha) if alpha is not None else resolve_phi(phi_name)
     value, err = limit_functional(phi, model, j=j, budget=budget, return_error=True)
@@ -247,10 +255,8 @@ def _cmd_limit(args) -> int:
     print(f"limit functional ({model.name}, d={model.dim}, j={j}, {label})")
     print(f"  value = {value!r}  (error estimate {err:.3g})")
     if alpha is not None:
-        i_val = model.i_rho(1.0 - alpha / model.dim)
-        if math.isfinite(i_val):
-            closed = gamma_constant(model.dim, j, alpha) * i_val
-            print(f"  closed-form cross-check gamma * I = {closed!r}")
+        closed = gamma_constant(model.dim, j, alpha) * i_val
+        print(f"  closed-form cross-check gamma * I = {closed!r}")
     if args.out:
         payload = {
             "model": model.name,

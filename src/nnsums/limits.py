@@ -11,7 +11,10 @@ The normalized neighbor sums of :mod:`nnsums.neighbors` converge (when
 they converge) to gamma_constant(d, j, alpha) times the integral of
 f^(1 - alpha/d); this module supplies those constants, the entropy
 transforms, and a quadrature route to the same limit for general weight
-functions.
+functions. That route nests two integrals: the inner expectation
+h(tau) = E[phi(D_j)] maps an array of intensities to an array in one
+vector quadrature, and each density's outer integral of h(f(x)) f(x) dx
+hands it all the intensities of one refinement level at a time.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from scipy import integrate
 from scipy.special import gammaincc, gammainccinv
 
 from .errors import InvalidGammaArgument, InvalidRho, QuadratureBudgetExceeded
+from .neighbors import _elementwise
 
 
 def unit_ball_volume(d: int) -> float:
@@ -141,48 +145,54 @@ class QuadratureBudget:
 
 
 def poisson_expectation(
-    phi, tau: float, d: int, j: int, tol: float = 1e-9, max_subdivisions: int = 200
-) -> tuple[float, float]:
+    phi, tau, d: int, j: int, tol: float = 1e-9, max_subdivisions: int = 200
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """(value, error) of E[phi(D_j)] under the Poisson neighbor law.
 
-    Substituting u = tau * omega_d * t^d makes u a Gamma(j, 1) variable,
-    so the expectation is a single integral of phi against the Gamma
-    weight. Integration runs over [0, U] with the Gamma tail beyond U
-    under 1e-12, keeping the truncation error negligible next to tol.
+    ``tau`` is one intensity, giving two floats, or an array of them,
+    giving two arrays of its shape. Substituting u = tau * omega_d * t^d
+    makes u a Gamma(j, 1) variable, and v = u^(1/d) turns the expectation
+    into the integral of phi(v * (tau * omega_d)^(-1/d)) against the weight
+    d * v^(d*j - 1) * exp(-v^d) / Gamma(j), which has no endpoint
+    singularity. Integration runs over [0, V] with the Gamma tail beyond
+    V^d under 1e-12, keeping the truncation error negligible next to tol.
+    All intensities share one adaptive Gauss-Kronrod partition, refined
+    until every one of them meets the tolerance.
     """
-    if tau <= 0:
+    taus = np.asarray(tau, dtype=float)
+    if not np.all(taus > 0):
         raise ValueError(f"intensity must be positive, got {tau}")
     if j < 1:
         raise ValueError(f"neighbor rank j must be >= 1, got {j}")
-    scale = tau * unit_ball_volume(d)
-    inv_d = 1.0 / d
-    log_gamma_j = math.lgamma(j)
+    # D_j per unit of v, one column per intensity
+    spacing = (taus.reshape(1, -1) * unit_ball_volume(d)) ** (-1.0 / d)
+    log_norm = math.log(d) - math.lgamma(j)
 
-    def integrand(u: float) -> float:
-        if u <= 0.0:
-            weight = 1.0 if j == 1 else 0.0
-        else:
-            weight = math.exp((j - 1) * math.log(u) - u - log_gamma_j)
-        if weight == 0.0:
-            return 0.0
-        return float(phi((u / scale) ** inv_d)) * weight
+    def integrand(v: np.ndarray) -> np.ndarray:
+        # v has shape (nodes, 1); Gauss-Kronrod nodes avoid the endpoints
+        weight = np.exp((d * j - 1) * np.log(v) - v**d + log_norm)
+        return _elementwise(phi, v * spacing) * weight
 
-    upper = float(gammainccinv(j, 1e-12))
-    value, err = integrate.quad(
+    upper = float(gammainccinv(j, 1e-12)) ** (1.0 / d)
+    res = integrate.cubature(
         integrand,
-        0.0,
-        upper,
-        limit=max_subdivisions,
-        epsabs=tol / 10.0,
-        epsrel=tol / 10.0,
+        [0.0],
+        [upper],
+        rule="gk21",
+        rtol=tol / 10.0,
+        atol=tol / 10.0,
+        max_subdivisions=max_subdivisions,
     )
-    if not math.isfinite(value):
+    value, err = res.estimate, res.error
+    if not np.all(np.isfinite(value)):
         raise QuadratureBudgetExceeded("inner expectation did not evaluate finitely")
-    if err > tol * max(1.0, abs(value)):
+    if res.status != "converged":
         raise QuadratureBudgetExceeded(
-            f"inner expectation error estimate {err:.3g} exceeds tolerance {tol:.3g}"
+            f"inner expectation error estimate {np.max(err):.3g} exceeds tolerance {tol:.3g}"
         )
-    return value, err
+    if taus.ndim == 0:
+        return float(value[0]), float(err[0])
+    return value.reshape(taus.shape), err.reshape(taus.shape)
 
 
 def limit_functional(
@@ -195,18 +205,22 @@ def limit_functional(
     """Limit of the per-point phi-weighted neighbor sum over samples from
     ``density``: the integral of E[phi(D_j at intensity f(x))] f(x) dx.
 
-    The outer integral runs through the density's own reduction (exact for
-    piecewise-constant densities, radial quadrature for radial ones); the
-    inner expectation uses the Gamma-weight quadrature above. Raises
-    :class:`QuadratureBudgetExceeded` when the combined error estimate
-    does not meet the budget.
+    ``phi`` is applied to arrays of distances; one that only takes single
+    floats is applied entry by entry. The outer integral runs through the
+    density's own reduction (exact for piecewise-constant densities,
+    tanh-sinh quadrature for radial ones), which hands the inner
+    expectation h a whole array of intensities at a time; h returns the
+    array of their Gamma-weight quadratures above. Raises
+    :class:`QuadratureBudgetExceeded` when either integral does not
+    converge or the combined error estimate does not meet the budget, as
+    happens when the limit is infinite.
     """
     if budget is None:
         budget = QuadratureBudget()
     dim = density.dim
     inner_tol = budget.tol / 10.0
 
-    def h(intensity: float) -> float:
+    def h(intensity):
         value, _ = poisson_expectation(
             phi, intensity, dim, j, tol=inner_tol, max_subdivisions=budget.max_subdivisions
         )

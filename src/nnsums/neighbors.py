@@ -203,13 +203,17 @@ def statistic_phi(xs: PointSet, j: int, phi, index: NeighborIndex | None = None)
     phi values raise :class:`DegenerateStatistic`.
     """
 
-    def weight(scaled: np.ndarray) -> np.ndarray:
-        try:
-            vals = np.asarray(phi(scaled), dtype=float)
-            if vals.shape == scaled.shape:
-                return vals
-        except (TypeError, ValueError):
-            pass
-        return np.fromiter((float(phi(t)) for t in scaled), dtype=float, count=len(scaled))
+    return _weighted_sum(xs, j, lambda scaled: _elementwise(phi, scaled), index, scale=True)
 
-    return _weighted_sum(xs, j, weight, index, scale=True)
+
+def _elementwise(phi, x: np.ndarray) -> np.ndarray:
+    """phi at every entry of ``x``, whether phi acts on arrays or only on
+    single floats."""
+    try:
+        vals = np.asarray(phi(x), dtype=float)
+        if vals.shape == x.shape:
+            return vals
+    except (TypeError, ValueError):
+        pass
+    flat = np.fromiter((float(phi(t)) for t in x.flat), dtype=float, count=x.size)
+    return flat.reshape(x.shape)

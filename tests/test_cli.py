@@ -357,6 +357,11 @@ _REFUSED = {
     "converge-j-at-least-n": ("converge", {"j": 20}, "n=20 holds at most j=20"),
     "probe-j-at-least-n": ("probe", {"j": 25}, "n=20 holds at most j=25"),
     "limit-j-zero": ("limit", {"j": 0}, "rank j must be >= 1"),
+    "limit-infinite": (
+        "limit",
+        {"model": "power_law", "d": 3, "beta": 7, "alpha": 2.0},
+        "the limit is infinite",
+    ),
 }
 
 

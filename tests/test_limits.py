@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import gammaincc
 
 from nnsums import (
     AnnulusBallCounterexample,
@@ -26,6 +28,7 @@ from nnsums import (
     sample_poisson_nn_distances,
     unit_ball_volume,
 )
+from nnsums.experiments import PHI_REGISTRY
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +186,29 @@ def test_poisson_expectation_power_matches_closed_form():
         assert err < 1e-8
 
 
+def test_poisson_expectation_array_matches_scalar_calls():
+    taus = np.array([[1e-6, 0.05, 1.0], [3.0, 40.0, 2e5]])
+    tol = 1e-9
+    for d, j, name in [(1, 1, "sqrt"), (2, 2, "capped"), (3, 1, "log1p")]:
+        phi = PHI_REGISTRY[name]
+        values, errors = poisson_expectation(phi, taus, d, j, tol=tol)
+        assert values.shape == errors.shape == taus.shape
+        for tau, value in zip(taus.flat, values.flat):
+            scalar, _ = poisson_expectation(phi, float(tau), d, j, tol=tol)
+            assert abs(value - scalar) <= tol * max(1.0, abs(scalar))
+
+
+def test_poisson_expectation_scalar_intensity_returns_floats():
+    value, err = poisson_expectation(np.sqrt, 2.0, 2, 1)
+    assert type(value) is float and type(err) is float
+
+
+def test_poisson_expectation_rejects_nonpositive_intensity():
+    for tau in (0.0, -1.0, math.nan, np.array([1.0, 0.0])):
+        with pytest.raises(ValueError, match="intensity must be positive"):
+            poisson_expectation(np.sqrt, tau, 2, 1)
+
+
 def test_limit_functional_normalization():
     # phi == 1 integrates the density itself
     models = [
@@ -203,7 +229,6 @@ def test_limit_functional_uniform_alpha_one():
     assert value == pytest.approx(0.5, rel=1e-6)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_limit_functional_budget_enforced():
     with pytest.raises(QuadratureBudgetExceeded):
         limit_functional(
@@ -212,6 +237,86 @@ def test_limit_functional_budget_enforced():
             j=1,
             budget=QuadratureBudget(tol=1e-15),
         )
+
+
+# (alpha, model, j) whose limit for phi(t) = t^alpha is infinite, because
+# I_rho diverges at rho = 1 - alpha/d
+_DIVERGENT = [
+    (1.0, PowerLawTail(1, 3.0), 1),
+    (2.0, PowerLawTail(2, 6.0), 2),
+    (2.0, PowerLawTail(3, 7.0), 1),
+    (2.0, GaussianStandard(2), 1),
+    (1.0, GaussianStandard(1), 1),
+]
+
+
+@pytest.mark.parametrize("alpha, model, j", _DIVERGENT, ids=repr)
+def test_limit_functional_refuses_infinite_limit(alpha, model, j):
+    assert not math.isfinite(model.i_rho(1.0 - alpha / model.dim))
+    with pytest.raises(QuadratureBudgetExceeded):
+        limit_functional(lambda t: t**alpha, model, j=j)
+
+
+@pytest.mark.parametrize("model", [PowerLawTail(2, 6.0), PowerLawTail(3, 4.0)], ids=repr)
+def test_limit_functional_heavy_tail_is_exact_or_refused(model):
+    # Close to the threshold beta * rho = d the integrand decays barely
+    # faster than 1/s, and much of the limit lies beyond the intensity
+    # cutoff; each value returned must still meet the budget.
+    d = model.dim
+    returned = 0
+    for gap in (0.5, 0.3, 0.2, 0.1, 0.05, 0.02):
+        alpha = d * (1.0 - (d + gap) / model.beta)
+        closed = gamma_constant(d, 1, alpha) * model.i_rho(1.0 - alpha / d)
+        try:
+            value = limit_functional(lambda t: t**alpha, model, j=1)
+        except QuadratureBudgetExceeded:
+            continue
+        assert value == pytest.approx(closed, rel=1e-6), gap
+        returned += 1
+    assert returned >= 2
+
+
+def _capped_oracle(model, j: int) -> float:
+    """The limit for phi(t) = min(t, 1) from the smooth form
+    E[min(D_j, 1)] = integral over [0, 1] of Q(j, tau * omega_d * t^d) dt,
+    with Q the regularized upper incomplete gamma function: Gauss-Legendre
+    in t, adaptive quad over the radius."""
+    d = model.dim
+    omega = unit_ball_volume(d)
+    nodes, weights = np.polynomial.legendre.leggauss(40)
+    t, w = 0.5 * (nodes + 1.0), 0.5 * weights
+
+    def integrand(s: float) -> float:
+        g = float(model.pdf(np.array([s] + [0.0] * (d - 1))))
+        inner = float(np.dot(w, gammaincc(j, g * omega * t**d)))
+        return d * omega * s ** (d - 1) * g * inner
+
+    near, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-12, limit=200)
+    far, _ = integrate.quad(integrand, 1.0, np.inf, epsabs=1e-13, epsrel=1e-12, limit=200)
+    return near + far
+
+
+@pytest.mark.parametrize("j", [1, 2, 3])
+@pytest.mark.parametrize(
+    "model",
+    [GaussianStandard(1), GaussianStandard(2), GaussianStandard(3),
+     PowerLawTail(1, 3.0), PowerLawTail(2, 6.0), PowerLawTail(3, 7.0)],
+    ids=repr,
+)
+def test_limit_functional_capped_weight_matches_oracle(model, j):
+    # min(t, 1) has its kink at a different v for every intensity
+    value = limit_functional(PHI_REGISTRY["capped"], model, j=j)
+    assert value == pytest.approx(_capped_oracle(model, j), rel=1e-6)
+
+
+def test_limit_functional_raises_no_integration_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha, model, j in _DIVERGENT:
+            with pytest.raises(QuadratureBudgetExceeded):
+                limit_functional(lambda t: t**alpha, model, j=j)
+        for model in (GaussianStandard(2), PowerLawTail(1, 3.0)):
+            limit_functional(PHI_REGISTRY["capped"], model, j=1)
 
 
 def test_quadrature_budget_validation():
