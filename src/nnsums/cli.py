@@ -35,7 +35,7 @@ import sys
 
 from .conditions import condition_report
 from .densities import _MODEL, _REQUIRED, _read_config
-from .errors import ConditionRefused, ConfigError
+from .errors import ConditionRefused, ConfigError, QuadratureBudgetExceeded
 from .experiments import (
     EstimatorConfig,
     ExperimentResult,
@@ -309,6 +309,6 @@ def main(argv=None) -> int:
     handler = _COMMANDS[args.command][0]
     try:
         return handler(args)
-    except (ConfigError, ConditionRefused, ValueError, OSError) as exc:
+    except (ConfigError, ConditionRefused, QuadratureBudgetExceeded, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

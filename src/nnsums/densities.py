@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.special import betainc, betainccinv, betaincinv, gammainc
+from scipy.special import betainc, gammainc
 
 from .errors import ConfigError, QuadratureBudgetExceeded
 from .limits import unit_ball_volume
@@ -522,10 +522,10 @@ class PowerLawTail(DensityModel):
     the critical moment is beta - d, and the integral of f^rho is finite
     exactly when beta * rho > d.
 
-    Sampling draws a uniform direction and the radius s = F^{-1}(u), where
-    F(s) = I_{s/(1+s)}(d, beta - d) is the radial CDF: for u <= 1/2,
-    s = y/(1-y) with y = betaincinv(d, beta - d, u); for u > 1/2,
-    s = (1-x)/x with x = 1/(1+s) = betainccinv(beta - d, d, u).
+    Sampling draws a uniform direction and a radius S with density
+    proportional to s^(d-1) (1 + s)^(-beta), the beta-prime(d, beta - d)
+    law. A ratio of independent standard gamma variables has exactly that
+    law, so S = G_d / G_(beta - d) needs no inverse of the radial CDF.
     """
 
     name = "power_law"
@@ -555,21 +555,8 @@ class PowerLawTail(DensityModel):
         out = 1.0 - betainc(self.beta - self.dim, self.dim, 1.0 / (1.0 + s))
         return float(out) if out.ndim == 0 else out
 
-    def _radial_ppf(self, u: np.ndarray) -> np.ndarray:
-        # Split at the median (see the class docstring): each half maps back
-        # without the cancellation of 1/x - 1 near s = 0 or of 1 - y far out.
-        u = np.asarray(u, dtype=float)
-        b = self.beta - self.dim
-        s = np.empty_like(u)
-        low = u <= 0.5
-        y = betaincinv(self.dim, b, u[low])
-        s[low] = y / (1.0 - y)
-        x = betainccinv(b, self.dim, u[~low])
-        s[~low] = (1.0 - x) / x
-        return s
-
     def sample(self, rng, n):
-        radii = self._radial_ppf(rng.random(n))
+        radii = rng.standard_gamma(self.dim, n) / rng.standard_gamma(self.beta - self.dim, n)
         directions = rng.standard_normal((n, self.dim))
         norms = np.linalg.norm(directions, axis=1)
         while np.any(norms == 0.0):  # pragma: no cover - probability zero

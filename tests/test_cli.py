@@ -183,6 +183,17 @@ def test_limit_cli_named_phi(tmp_path, capsys):
     assert "phi=capped" in capsys.readouterr().out
 
 
+def test_limit_cli_divergent_phi_exits_2(tmp_path, capsys):
+    # phi = identity is alpha = 1, so in d = 1 the limit is gamma * the
+    # integral of f^0 over the line: infinite, and the quadrature says so.
+    payload = {"model": "power_law", "d": 1, "beta": 3, "phi": "identity"}
+    cfg = _write_config(tmp_path, "l.json", payload)
+    assert main(["limit", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
 def test_estimate_cli(tmp_path, capsys):
     points = tmp_path / "pts.csv"
     PointSet([0.0, 1.0, 3.0]).to_csv(points)

@@ -8,6 +8,8 @@ replication sweep that moves even the last bit of one value fails here.
 The CLI digests pin the ``--out`` report of ``nnsums converge``, ``diverge``
 and ``check``, so a change to how a JSON configuration is read that alters
 any value the run receives fails too.
+The power-law digest pins the gamma-ratio radius draw of ``PowerLawTail``,
+so each model of the catalog has its sampling stream pinned.
 The digests were taken with numpy 2.4 and scipy 1.17 on x86-64.
 """
 
@@ -22,6 +24,7 @@ from nnsums import (
     EstimatorConfig,
     GaussianStandard,
     PointSet,
+    PowerLawTail,
     UniformConvexUnion,
     build_mst,
     run_convergence,
@@ -55,6 +58,20 @@ def test_convergence_report_digest(tmp_path):
     )
     assert _json_digest(run_convergence(config), tmp_path) == (
         "d8d2253e6995d39f23848761962135681a7056dbe91df25071b74b7622f3d17e"
+    )
+
+
+def test_power_law_convergence_report_digest(tmp_path):
+    config = EstimatorConfig(
+        model=PowerLawTail(2, 6.0),
+        j=1,
+        alpha=1.0,
+        n_grid=(3, 60, 800),
+        replications=3,
+        seed=19,
+    )
+    assert _json_digest(run_convergence(config), tmp_path) == (
+        "4c83bb3ecb84d9ef54ea6c1f8ffb2c42fbb46069f7fc49237ab9ef18fd52b6fa"
     )
 
 
