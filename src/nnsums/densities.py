@@ -28,11 +28,10 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import betainc, gammainc
 
 from .errors import ConfigError, QuadratureBudgetExceeded
-from .limits import unit_ball_volume
+from .limits import _adaptive_gauss, unit_ball_volume
 from .points import PointSet
 
 
@@ -41,20 +40,20 @@ from .points import PointSet
 
 
 def _cap_volume(radius: float, height: float, d: int) -> float:
-    """Volume of a spherical cap of the given height cut from a d-ball."""
+    """Volume of a spherical cap of the given height cut from a d-ball.
+
+    For h <= r it is omega_d r^d I_x((d + 1)/2, 1/2) / 2 with
+    x = (2rh - h^2)/r^2 (S. Li 2011, "Concise formulas for the area and
+    volume of a hyperspherical cap"); a cap past the center is the ball
+    less the cap on the other side.
+    """
     h = min(max(height, 0.0), 2.0 * radius)
     if h == 0.0 or radius <= 0.0:
         return 0.0
-    if d == 1:
-        return h
-    w = unit_ball_volume(d - 1)
-    val, _ = integrate.quad(
-        lambda t: w * (radius * radius - t * t) ** ((d - 1) / 2.0),
-        radius - h,
-        radius,
-        limit=100,
-    )
-    return val
+    low = min(h, 2.0 * radius - h)
+    ball = unit_ball_volume(d) * radius**d
+    cap = 0.5 * ball * float(betainc(0.5 * (d + 1), 0.5, low * (2.0 * radius - low) / radius**2))
+    return cap if h <= radius else ball - cap
 
 
 def _ball_ball_volume(center_dist: float, r1: float, r2: float, d: int) -> float:
@@ -70,24 +69,62 @@ def _ball_ball_volume(center_dist: float, r1: float, r2: float, d: int) -> float
     return _cap_volume(r1, r1 - a1, d) + _cap_volume(r2, r2 - a2, d)
 
 
+def _quadrant_disk_area(x, y, r):
+    """Area of {0 <= u <= x, 0 <= v <= y, u^2 + v^2 <= r^2} for x, y >= 0, r > 0."""
+    x, y = np.minimum(x, r), np.minimum(y, r)
+    # full height y up to where v = y meets the circle, the arc beyond it
+    inner = np.minimum(x, np.sqrt(r * r - y * y))
+
+    def under_arc(u):  # integral of sqrt(r^2 - t^2) over [0, u]
+        return 0.5 * (u * np.sqrt(r * r - u * u) + r * r * np.arcsin(u / r))
+
+    return inner * y + under_arc(x) - under_arc(inner)
+
+
+def _box_disk_area(lo, hi, r):
+    """Area of the rectangle [lo, hi] intersected with the disk of radius r
+    at the origin, by inclusion-exclusion over its corners' quadrants."""
+    return sum(
+        sx * sy * np.sign(x) * np.sign(y) * _quadrant_disk_area(abs(x), abs(y), r)
+        for x, sx in ((hi[0], 1.0), (lo[0], -1.0))
+        for y, sy in ((hi[1], 1.0), (lo[1], -1.0))
+    )
+
+
 def _box_ball_volume(lo, hi, radius: float) -> float:
-    """Volume of an axis-aligned box intersected with a ball at the origin."""
+    """Volume of an axis-aligned box intersected with a ball at the origin.
+
+    Closed forms in d = 1 and 2; in d = 3 one pass of the adaptive rule
+    over the first coordinate, with a panel edge wherever a section's
+    radius passes a corner or an edge of the rectangle it cuts. Larger
+    dimensions raise :class:`ConfigError`: the volume serves only the
+    annulus masses of divergence schedules, and divergence never holds on a
+    compact support.
+    """
+    d = len(lo)
+    if d > 3:
+        raise ConfigError(
+            f"box-ball volumes are computed for d <= 3 only, got d = {d}; "
+            "divergence never holds on a compact support"
+        )
     if radius <= 0.0:
         return 0.0
-    if len(lo) == 1:
+    if d == 1:
         return max(0.0, min(hi[0], radius) - max(lo[0], -radius))
-    a = max(lo[0], -radius)
-    b = min(hi[0], radius)
+    if d == 2:
+        return float(_box_disk_area(lo, hi, radius))
+    a, b = max(lo[0], -radius), min(hi[0], radius)
     if b <= a:
         return 0.0
-    rest_lo, rest_hi = lo[1:], hi[1:]
     rsq = radius * radius
-
-    def section(x: float) -> float:
-        return _box_ball_volume(rest_lo, rest_hi, math.sqrt(max(rsq - x * x, 0.0)))
-
-    val, _ = integrate.quad(section, a, b, limit=100)
-    return val
+    kinks = [y * y for y in lo[1:] + hi[1:]]
+    kinks += [y * y + z * z for y in (lo[1], hi[1]) for z in (lo[2], hi[2])]
+    cuts = [x for k in kinks if k < rsq for x in (-math.sqrt(rsq - k), math.sqrt(rsq - k))]
+    edges = np.unique(np.clip([a, b, *cuts], a, b))
+    value, _ = _adaptive_gauss(
+        lambda x: _box_disk_area(lo[1:], hi[1:], np.sqrt(rsq - x * x)), edges, 1e-12
+    )
+    return float(value[0])
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +318,10 @@ class DensityModel(ABC):
 
         ``h`` maps an array of intensities to the array of its values (and
         one intensity to one value); models call it once per batch of
-        intensities rather than once per intensity.
+        intensities rather than once per intensity. Piecewise-constant
+        models sum exactly or as a series; radial ones integrate over
+        u = 1/(1 + |x|) by the panel-bisection Gauss-Legendre rule, one call
+        of h per refinement round (see :func:`_radial_expectation`).
         """
 
     # -- traits used by the convergence checks -------------------------
@@ -330,7 +370,8 @@ class DensityModel(ABC):
         return f"{type(self).__name__}({inner})"
 
 
-#: The outer integrals drop intensities at or below this one. Above it the
+#: The outer integrals hand h no intensity at or below this one: the radial
+#: ones stop there and count the rest, the shell series drops it. Above it the
 #: j-th neighbor distance, about g^(-1/d), stays finite in floating point,
 #: and so does phi of it for every power phi whose limit is finite.
 _MIN_INTENSITY = 1e-300
@@ -338,43 +379,46 @@ _MIN_INTENSITY = 1e-300
 
 def _radial_expectation(profile, d: int, h, tol: float) -> tuple[float, float]:
     """(value, error) of the integral of h(f(x)) f(x) dx for a radial
-    density f(x) = profile(|x|).
+    density f(x) = profile(|x|), decreasing in |x|.
 
-    Tanh-sinh quadrature over the radius; each refinement level hands all
-    of its intensities to h in one call. The integrand is dropped beyond
-    the radius where f falls to the intensity cutoff; the error includes
-    that tail, extrapolated from the integrand's power-law decay over the
-    last doubling of the radius before the cutoff (infinite when it decays
-    no faster than 1/s, as for an infinite limit).
+    With u = 1/(1 + s) the radius s runs over (0, 1], and the integral is
+    that of F(u) = area * s^(d-1) * f * h(f) / u^2. Its end point is
+    u0 = 1/(1 + s0), with s0 the largest power of two at which f is still
+    above the intensity cutoff. The adaptive rule integrates over [u0, 1]
+    in y = -log u, on which u * F(u) stays smooth even where F grows like
+    u^(eps - 1) at 0, as for a power law near its threshold; each round
+    hands all its intensities to h in one call. The piece below u0 is
+    counted as u0 * F(u0) / eps_hat, where
+    eps_hat = 1 + log2(F(2 u0) / F(u0)) measures the decay over the last
+    doubling of u; the change in that piece when eps_hat is measured one
+    doubling further in goes into the error. Raises
+    :class:`QuadratureBudgetExceeded` when eps_hat <= 0, as for an infinite
+    limit.
     """
     area = d * unit_ball_volume(d)
 
-    def integrand(s: np.ndarray) -> np.ndarray:
+    def integrand(y: np.ndarray) -> np.ndarray:  # u * F(u) at u = exp(-y)
+        s = np.expm1(y)
         g = profile(s)
-        keep = g > _MIN_INTENSITY
-        out = np.zeros_like(g)
-        out[keep] = area * s[keep] ** (d - 1) * g[keep] * h(g[keep])
-        return out
+        return area * s ** (d - 1) * (1.0 + s) * g * h(g)
 
-    res = integrate.tanhsinh(
-        integrand, 0.0, np.inf, minlevel=4, atol=tol / 10.0, rtol=tol / 10.0
-    )
-    value = float(res.integral)
-    if res.status != 0 or not math.isfinite(value):
-        raise QuadratureBudgetExceeded(
-            f"radial outer integral did not converge (error estimate {res.error:.3g})"
-        )
     edge = 1.0
-    while profile(np.array(2.0 * edge)) > _MIN_INTENSITY:
+    while profile(2.0 * edge) > _MIN_INTENSITY:
         edge *= 2.0
-    near, far = np.abs(integrand(np.array([edge / 2.0, edge])))
+    cut = math.log1p(edge)
+    value, err = _adaptive_gauss(integrand, np.linspace(0.0, cut, 9), tol / 10.0)
+    # u * F(u) at u0, 2 u0 and 4 u0
+    far, mid, near = np.abs(integrand(cut - math.log(2.0) * np.arange(3.0)))
     if far == 0.0:
-        tail = 0.0
-    elif near <= 2.0 * far:  # falls no faster than 1/s over the doubling
-        tail = math.inf
-    else:  # falls like s^-decay with decay = log2(near / far) > 1
-        tail = edge * far / (math.log2(near / far) - 1.0)
-    return value, float(res.error) + tail
+        return float(value[0]), float(err[0])
+    eps_hat = np.log2([mid / far, near / mid])
+    if not np.all(eps_hat > 0):
+        raise QuadratureBudgetExceeded(
+            "radial integrand decays no faster than 1/s at the intensity cutoff "
+            f"(eps_hat {np.min(eps_hat):.3g})"
+        )
+    piece = far / eps_hat
+    return float(value[0] + piece[0]), float(err[0] + abs(piece[0] - piece[1]))
 
 
 # ---------------------------------------------------------------------------

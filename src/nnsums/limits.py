@@ -14,7 +14,17 @@ transforms, and a quadrature route to the same limit for general weight
 functions. That route nests two integrals: the inner expectation
 h(tau) = E[phi(D_j)] maps an array of intensities to an array in one
 vector quadrature, and each density's outer integral of h(f(x)) f(x) dx
-hands it all the intensities of one refinement level at a time.
+hands it all the intensities of one refinement round at a time.
+
+Every integral the package computes numerically runs through one rule,
+:func:`_adaptive_gauss`: 10-point Gauss-Legendre on a partition into
+panels that is bisected where the error estimate
+|Q(panel) - Q(left half) - Q(right half)| asks for it, shared by all the
+integrands of one call (one per intensity). Both integrals run over
+finite intervals: the inner one over the Gamma weight cut where its tail
+falls below 1e-12, the radial outer one over y = -log u with
+u = 1/(1 + s), on which the intensity cutoff is a finite end point (see
+:func:`nnsums.densities._radial_expectation`).
 """
 
 from __future__ import annotations
@@ -23,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gammaincc, gammainccinv
 
 from .errors import InvalidGammaArgument, InvalidRho, QuadratureBudgetExceeded
@@ -130,22 +139,86 @@ def sample_poisson_nn_distances(
     return np.partition(radii, j - 1, axis=1)[:, j - 1]
 
 
+#: Nodes and weights of the 10-point Gauss-Legendre rule on [-1, 1], which
+#: :func:`_adaptive_gauss` applies to every panel.
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(10)
+#: The most panels one integral may be split into before it refuses.
+_MAX_PANELS = 2000
+
+
+def _panel_sums(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Gauss-Legendre sums of f over the panels [lo, hi]: one row per panel,
+    one column per integrand."""
+    half = 0.5 * (hi - lo)
+    nodes = (lo + half)[:, None] + half[:, None] * _NODES
+    values = np.asarray(f(nodes.ravel()), dtype=float).reshape(lo.size, _NODES.size, -1)
+    return half[:, None] * np.einsum("n,pnk->pk", _WEIGHTS, values)
+
+
+def _halves(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The left halves, then the right halves, of the panels [lo, hi]."""
+    mid = 0.5 * (lo + hi)
+    return np.concatenate([lo, mid]), np.concatenate([mid, hi])
+
+
+def _adaptive_gauss(f, edges, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(value, error) arrays, one entry per integrand, of the integral of f
+    over [edges[0], edges[-1]].
+
+    ``f`` maps a 1-D array of nodes to an array with one row per node and
+    one column per integrand (1-D for a single integrand). All integrands
+    share one partition, which starts as the panels between consecutive
+    ``edges``. Each panel is summed by 10-point Gauss-Legendre whole and as
+    two halves: its value is the sum over the halves and its error
+    |Q(panel) - Q(left) - Q(right)|. While an integrand's summed error
+    exceeds tol * max(1, |value|), the panels holding more than their
+    width's share of that budget are bisected; each round calls f once, on
+    the nodes of the new panels. Raises :class:`QuadratureBudgetExceeded`
+    when a value is not finite or the partition would pass ``_MAX_PANELS``.
+    """
+    edges = np.asarray(edges, dtype=float)
+    span = edges[-1] - edges[0]
+    lo, hi = edges[:-1], edges[1:]
+    whole = _panel_sums(f, lo, hi)
+    parts = _panel_sums(f, *_halves(lo, hi))
+    while True:
+        left, right = np.split(parts, 2)
+        err = np.abs(whole - left - right)
+        value, error = np.sum(left + right, axis=0), np.sum(err, axis=0)
+        if not np.all(np.isfinite(value)):
+            raise QuadratureBudgetExceeded("integrand did not evaluate finitely")
+        budget = tol * np.maximum(1.0, np.abs(value))
+        open_ = error > budget
+        if not np.any(open_):
+            return value, error
+        split = np.any(err[:, open_] * span > np.outer(hi - lo, budget[open_]), axis=1)
+        if lo.size + np.count_nonzero(split) > _MAX_PANELS:
+            raise QuadratureBudgetExceeded(
+                f"error estimate {np.max(error[open_]):.3g} exceeds tolerance "
+                f"{np.max(budget[open_]):.3g} after {lo.size} panels"
+            )
+        # a bisected panel's halves become panels whose whole sums are known
+        stay = ~split
+        new_lo, new_hi = _halves(lo[split], hi[split])
+        new_left, new_right = np.split(_panel_sums(f, *_halves(new_lo, new_hi)), 2)
+        lo, hi = np.concatenate([lo[stay], new_lo]), np.concatenate([hi[stay], new_hi])
+        whole = np.concatenate([whole[stay], left[split], right[split]])
+        parts = np.concatenate([left[stay], new_left, right[stay], new_right])
+
+
 @dataclass(frozen=True)
 class QuadratureBudget:
     """Accuracy demanded of the limit-functional integration."""
 
     tol: float = 1e-6
-    max_subdivisions: int = 200
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tolerance must be positive")
-        if self.max_subdivisions < 10:
-            raise ValueError("subdivision budget too small")
 
 
 def poisson_expectation(
-    phi, tau, d: int, j: int, tol: float = 1e-9, max_subdivisions: int = 200
+    phi, tau, d: int, j: int, tol: float = 1e-9
 ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """(value, error) of E[phi(D_j)] under the Poisson neighbor law.
 
@@ -156,7 +229,7 @@ def poisson_expectation(
     d * v^(d*j - 1) * exp(-v^d) / Gamma(j), which has no endpoint
     singularity. Integration runs over [0, V] with the Gamma tail beyond
     V^d under 1e-12, keeping the truncation error negligible next to tol.
-    All intensities share one adaptive Gauss-Kronrod partition, refined
+    All intensities share one partition of :func:`_adaptive_gauss`, bisected
     until every one of them meets the tolerance.
     """
     taus = np.asarray(tau, dtype=float)
@@ -169,27 +242,16 @@ def poisson_expectation(
     log_norm = math.log(d) - math.lgamma(j)
 
     def integrand(v: np.ndarray) -> np.ndarray:
-        # v has shape (nodes, 1); Gauss-Kronrod nodes avoid the endpoints
+        # Gauss-Legendre nodes avoid the endpoints, so log(v) is finite
+        v = v[:, None]
         weight = np.exp((d * j - 1) * np.log(v) - v**d + log_norm)
         return _elementwise(phi, v * spacing) * weight
 
     upper = float(gammainccinv(j, 1e-12)) ** (1.0 / d)
-    res = integrate.cubature(
-        integrand,
-        [0.0],
-        [upper],
-        rule="gk21",
-        rtol=tol / 10.0,
-        atol=tol / 10.0,
-        max_subdivisions=max_subdivisions,
-    )
-    value, err = res.estimate, res.error
-    if not np.all(np.isfinite(value)):
-        raise QuadratureBudgetExceeded("inner expectation did not evaluate finitely")
-    if res.status != "converged":
-        raise QuadratureBudgetExceeded(
-            f"inner expectation error estimate {np.max(err):.3g} exceeds tolerance {tol:.3g}"
-        )
+    try:
+        value, err = _adaptive_gauss(integrand, np.linspace(0.0, upper, 5), tol / 10.0)
+    except QuadratureBudgetExceeded as exc:
+        raise QuadratureBudgetExceeded(f"inner expectation: {exc}") from None
     if taus.ndim == 0:
         return float(value[0]), float(err[0])
     return value.reshape(taus.shape), err.reshape(taus.shape)
@@ -207,10 +269,12 @@ def limit_functional(
 
     ``phi`` is applied to arrays of distances; one that only takes single
     floats is applied entry by entry. The outer integral runs through the
-    density's own reduction (exact for piecewise-constant densities,
-    tanh-sinh quadrature for radial ones), which hands the inner
-    expectation h a whole array of intensities at a time; h returns the
-    array of their Gamma-weight quadratures above. Raises
+    density's own reduction (exact for piecewise-constant densities, a
+    series for the counterexample, and for radial ones the panel-bisection
+    Gauss-Legendre rule over y = -log u, u = 1/(1 + |x|), plus the counted
+    piece beyond the intensity cutoff), which hands the inner expectation h
+    a whole array of intensities at a time; h returns the array of their
+    Gamma-weight quadratures above, by the same rule. Raises
     :class:`QuadratureBudgetExceeded` when either integral does not
     converge or the combined error estimate does not meet the budget, as
     happens when the limit is infinite.
@@ -221,9 +285,7 @@ def limit_functional(
     inner_tol = budget.tol / 10.0
 
     def h(intensity):
-        value, _ = poisson_expectation(
-            phi, intensity, dim, j, tol=inner_tol, max_subdivisions=budget.max_subdivisions
-        )
+        value, _ = poisson_expectation(phi, intensity, dim, j, tol=inner_tol)
         return value
 
     value, outer_err = density.expect_of_intensity(h, tol=budget.tol / 2.0)
