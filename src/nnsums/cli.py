@@ -113,6 +113,11 @@ def _cmd_estimate(args) -> int:
         raise ConfigError("estimate needs exactly one of 'alpha' or 'phi'")
     if v["q"] not in (1, 2):
         raise ConfigError(f"'q' must be 1 or 2, got {v['q']}")
+    if n <= j:
+        raise ConfigError(
+            f"{v['points']} holds n={n} points, at most j={j}, so no point "
+            "has a j-th neighbour and the sum is always 0"
+        )
     if alpha is not None:
         raw = statistic_power(points, j, alpha)
         gam = gamma_constant(points.dim, j, alpha)

@@ -6,6 +6,15 @@ exact squared distances coordinate by coordinate, as the tree's distance
 kernel does, and takes a single square root at the end, so the two return
 bitwise-identical values, which the test suite checks at scale.
 
+An all-points search (:meth:`NeighborIndex.knn_distances`) queries the
+tree's own points in the tree's leaf order rather than in sample order, so
+consecutive queries start in the same leaf and walk the same nodes while
+they are still in cache, and then scatters each result back to its point's
+place in the sample. Every query still goes through the same kernel with
+the same coordinates, and a point's j-th smallest distance does not depend
+on the order of the queries, so the distances are bitwise the same as in
+sample order.
+
 The central statistic is the sum over the sample of (n^{1/d} D_j)^alpha,
 where D_j is the distance from a point to its j-th nearest other point;
 D_j is defined as 0 when the set has at most j points. It and its
@@ -107,12 +116,23 @@ class NeighborIndex:
         return float(dists[q.j])
 
     def knn_distances(self, j: int) -> np.ndarray:
-        """j-th neighbor distance for every point of the set at once."""
+        """j-th neighbor distance for every point of the set at once.
+
+        The points are queried in the tree's leaf order, which keeps the
+        nodes and coordinates that consecutive queries visit in cache, and
+        each distance is scattered back to its point's index in the set.
+        The result is bitwise equal to querying in sample order: each point
+        is queried with the same coordinates through the same kernel, and
+        its j-th smallest distance does not depend on when it is asked for.
+        """
         n = len(self._xs)
         if n <= j:
             return np.zeros(n)
-        dists, _ = self._tree.query(self._xs.coords, k=j + 1)
-        return np.ascontiguousarray(dists[:, j])
+        order = self._tree.indices
+        dists, _ = self._tree.query(self._tree.data[order], k=j + 1)
+        out = np.empty(n)
+        out[order] = dists[:, j]
+        return out
 
 
 def build_index(xs: PointSet) -> NeighborIndex:

@@ -226,6 +226,19 @@ def test_estimate_rejects_both_weights(tmp_path, capsys):
     assert main(["estimate", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("weight", [{"alpha": 1.0}, {"phi": "capped"}])
+def test_estimate_refuses_j_not_below_n(tmp_path, capsys, weight):
+    points = tmp_path / "pts.csv"
+    PointSet(np.random.default_rng(0).random((50, 2))).to_csv(points)
+    out = tmp_path / "report.json"
+    cfg = _write_config(tmp_path, "est.json", {"points": str(points), "j": 50} | weight)
+    assert main(["estimate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "n=50" in err and "j=50" in err
+    assert not out.exists()
+
+
 def test_converge_rejects_phi_key(tmp_path, capsys):
     cfg = _write_config(tmp_path, "c.json", dict(UNIFORM_CONVERGE, phi="log1p"))
     assert main(["converge", "--config", cfg]) == 2

@@ -9,6 +9,7 @@ from nnsums import (
     DegenerateStatistic,
     NeighborQuery,
     PointSet,
+    PowerLawTail,
     PowerWeight,
     build_index,
     knn_distances,
@@ -117,6 +118,42 @@ def test_knn_distances_equal_bruteforce_with_duplicates(n, d):
         got = knn_distances(xs, j)
         assert got.dtype == expected.dtype
         np.testing.assert_array_equal(got, expected)
+
+
+def _repeated_point_set():
+    # one point repeated 40 times, more than a kd-tree leaf holds
+    rng = np.random.default_rng(7)
+    pts = rng.random((2000, 2))
+    pts[rng.choice(np.arange(1, 2000), size=40, replace=False)] = pts[0]
+    return PointSet(pts)
+
+
+_SCATTER_SETS = {
+    "power_tail": lambda: PointSet(PowerLawTail(2, 6).sample(np.random.default_rng(11), 3000)),
+    "repeated_point": _repeated_point_set,
+}
+
+
+@pytest.mark.parametrize("j", [1, 3])
+@pytest.mark.parametrize("name", sorted(_SCATTER_SETS))
+def test_knn_distances_scatter_back_in_input_order(name, j):
+    # the tree is queried in its own leaf order; each distance must land on
+    # the point it was measured from
+    xs = _SCATTER_SETS[name]()
+    expected = np.array(
+        [nn_distance_bruteforce(xs, NeighborQuery(j=j, index=i)) for i in range(len(xs))]
+    )
+    np.testing.assert_array_equal(knn_distances(xs, j), expected)
+
+
+@pytest.mark.parametrize("j", [1, 3])
+@pytest.mark.parametrize("name", sorted(_SCATTER_SETS))
+def test_knn_distances_permutation_equivariant(name, j):
+    x = _SCATTER_SETS[name]().coords
+    p = np.random.default_rng(j).permutation(len(x))
+    np.testing.assert_array_equal(
+        knn_distances(PointSet(x[p]), j), knn_distances(PointSet(x), j)[p]
+    )
 
 
 def test_monotone_in_j():
