@@ -1,22 +1,23 @@
 """Power-weighted nearest-neighbor sums and their limit theory, testable.
 
 The package computes exact j-th nearest-neighbor distances, the power
-sums S_{n,alpha} built from them, the closed-form constants and entropy
-transforms they converge to, a density catalog with known integrals of
-f^rho, critical moments and annulus masses, condition checks deciding
-which convergence guarantee applies, minimum-spanning-tree edge
-functionals, and a reproducible Monte Carlo experiment harness with a CLI.
+sums S_{n,alpha} built from them, the closed-form constants
+gamma(d, j, alpha) * I_rho and entropy transforms they converge to, a
+density catalog with known integrals of f^rho, critical moments and
+annulus masses, condition checks deciding which convergence guarantee
+applies, Euclidean minimum spanning trees, and a reproducible Monte Carlo
+experiment harness with a CLI.
+
+``__all__`` is the public surface: what the CLI, the experiment drivers,
+the benchmark and the acceptance suite use.
 """
 
 from .conditions import (
     ConditionReport,
-    check_bounded_support,
     check_divergence,
     check_moment_condition,
-    check_negative_alpha,
     check_power_tail,
     condition_report,
-    moment_threshold,
 )
 from .densities import (
     AnnulusBallCounterexample,
@@ -27,7 +28,6 @@ from .densities import (
     PowerLawTail,
     UniformConvexUnion,
     model_from_config,
-    sample_n,
 )
 from .errors import (
     ConditionRefused,
@@ -41,7 +41,6 @@ from .experiments import (
     DivergenceSchedule,
     EstimatorConfig,
     ExperimentResult,
-    MannKendallResult,
     PHI_REGISTRY,
     mann_kendall_increasing,
     run_convergence,
@@ -51,22 +50,18 @@ from .experiments import (
 )
 from .limits import (
     EntropyValue,
-    LimitConstantSpec,
-    QuadratureBudget,
     entropy_from_integral,
     gamma_constant,
     limit_functional,
     poisson_expectation,
     poisson_nn_moment,
-    poisson_nn_tail,
     sample_poisson_nn_distances,
     unit_ball_volume,
 )
-from .mst import EdgeList, build_mst, l_phi, l_power_nn
+from .mst import EdgeList, build_mst, l_power_nn
 from .neighbors import (
     NeighborIndex,
     NeighborQuery,
-    PowerWeight,
     build_index,
     knn_distances,
     nn_distance_bruteforce,
@@ -95,44 +90,34 @@ __all__ = [
     "GaussianStandard",
     "InvalidGammaArgument",
     "InvalidRho",
-    "LimitConstantSpec",
-    "MannKendallResult",
     "NeighborIndex",
     "NeighborQuery",
     "PHI_REGISTRY",
     "PointSet",
     "PowerLawTail",
-    "PowerWeight",
-    "QuadratureBudget",
     "QuadratureBudgetExceeded",
     "UniformConvexUnion",
     "build_index",
     "build_mst",
-    "check_bounded_support",
     "check_divergence",
     "check_moment_condition",
-    "check_negative_alpha",
     "check_power_tail",
     "condition_report",
     "entropy_from_integral",
     "gamma_constant",
     "knn_distances",
-    "l_phi",
     "l_power_nn",
     "limit_functional",
     "mann_kendall_increasing",
     "model_from_config",
-    "moment_threshold",
     "nn_distance_bruteforce",
     "nn_distance_indexed",
     "poisson_expectation",
     "poisson_nn_moment",
-    "poisson_nn_tail",
     "run_convergence",
     "run_divergence",
     "run_entropy",
     "run_moment_probe",
-    "sample_n",
     "sample_poisson_nn_distances",
     "statistic_phi",
     "statistic_power",

@@ -46,7 +46,7 @@ from .experiments import (
     run_entropy,
     run_moment_probe,
 )
-from .limits import QuadratureBudget, gamma_constant, limit_functional
+from .limits import gamma_constant, limit_functional
 from .neighbors import statistic_phi, statistic_power
 from .points import PointSet
 
@@ -253,9 +253,8 @@ def _cmd_limit(args) -> int:
                 f"the limit is infinite: the integral of f^rho diverges at "
                 f"rho = 1 - alpha/d = {rho:g} for this model"
             )
-    budget = QuadratureBudget(tol=v["tol"])
     phi = (lambda t: t**alpha) if alpha is not None else resolve_phi(phi_name)
-    value, err = limit_functional(phi, model, j=j, budget=budget, return_error=True)
+    value, err = limit_functional(phi, model, j=j, tol=v["tol"], return_error=True)
     label = f"alpha={alpha}" if alpha is not None else f"phi={phi_name}"
     print(f"limit functional ({model.name}, d={model.dim}, j={j}, {label})")
     print(f"  value = {value!r}  (error estimate {err:.3g})")

@@ -34,12 +34,9 @@ from .densities import DensityModel
 _BOUNDARY_RTOL = 1e-12
 
 
-def moment_threshold(alpha: float, q: int, d: int) -> float:
-    """q * alpha * d / (d - q * alpha), the critical-moment cutoff."""
-    if q not in (1, 2):
-        raise ValueError(f"q must be 1 or 2, got {q}")
-    if not 0 < alpha < d / q:
-        raise ValueError(f"threshold needs 0 < alpha < d/q, got alpha={alpha}")
+def _moment_threshold(alpha: float, q: int, d: int) -> float:
+    """q * alpha * d / (d - q * alpha), the critical-moment cutoff; callers
+    hold q in (1, 2) and 0 < alpha < d/q."""
     return q * alpha * d / (d - q * alpha)
 
 
@@ -47,24 +44,6 @@ def _at_boundary(r_c: float, threshold: float) -> bool:
     if not math.isfinite(r_c):
         return False
     return math.isclose(r_c, threshold, rel_tol=_BOUNDARY_RTOL, abs_tol=0.0)
-
-
-def check_bounded_support(model: DensityModel, alpha: float) -> bool:
-    """Positive exponent on a compact convex-union support with pdf bounded
-    away from zero and infinity."""
-    return (
-        alpha > 0
-        and model.bounded_convex_union_support
-        and model.inf_pdf_on_support > 0
-        and math.isfinite(model.sup_pdf)
-    )
-
-
-def check_negative_alpha(model: DensityModel, alpha: float, q: int) -> bool:
-    """Negative exponent in (-d/q, 0) with a bounded pdf."""
-    if q not in (1, 2):
-        raise ValueError(f"q must be 1 or 2, got {q}")
-    return -model.dim / q < alpha < 0 and math.isfinite(model.sup_pdf)
 
 
 def check_moment_condition(model: DensityModel, alpha: float, q: int) -> bool:
@@ -77,7 +56,7 @@ def check_moment_condition(model: DensityModel, alpha: float, q: int) -> bool:
         return False
     if not model.i_rho_is_finite(1.0 - alpha / d):
         return False
-    return model.critical_moment() > moment_threshold(alpha, q, d)
+    return model.critical_moment() > _moment_threshold(alpha, q, d)
 
 
 def check_power_tail(model: DensityModel, alpha: float) -> bool:
@@ -143,22 +122,28 @@ class ConditionReport:
 
 
 def condition_report(model: DensityModel, alpha: float, q: int) -> ConditionReport:
-    """Evaluate all five conditions and collect boundary notes."""
-    if q not in (1, 2):
-        raise ValueError(f"q must be 1 or 2, got {q}")
+    """Evaluate the five conditions of the module docstring and collect
+    boundary notes."""
+    # the one check of q: check_moment_condition refuses any q but 1 and 2
+    moment_condition = check_moment_condition(model, alpha, q)
     d = model.dim
     report = ConditionReport(
         alpha=alpha,
         q=q,
-        bounded_support=check_bounded_support(model, alpha),
-        negative_alpha=check_negative_alpha(model, alpha, q),
-        moment_condition=check_moment_condition(model, alpha, q),
+        bounded_support=(
+            alpha > 0
+            and model.bounded_convex_union_support
+            and model.inf_pdf_on_support > 0
+            and math.isfinite(model.sup_pdf)
+        ),
+        negative_alpha=-d / q < alpha < 0 and math.isfinite(model.sup_pdf),
+        moment_condition=moment_condition,
         power_tail=check_power_tail(model, alpha),
         divergence=check_divergence(model, alpha),
     )
     if 0 < alpha < d / q:
         r_c = model.critical_moment()
-        threshold = moment_threshold(alpha, q, d)
+        threshold = _moment_threshold(alpha, q, d)
         if _at_boundary(r_c, threshold):
             report.notes.append(
                 f"critical moment r_c = {r_c:g} equals the threshold "

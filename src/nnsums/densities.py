@@ -32,7 +32,6 @@ from scipy.special import betainc, gammainc
 
 from .errors import ConfigError, QuadratureBudgetExceeded
 from .limits import _adaptive_gauss, unit_ball_volume
-from .points import PointSet
 
 
 # ---------------------------------------------------------------------------
@@ -864,11 +863,3 @@ def model_from_config(cfg: dict) -> DensityModel:
     bool, a string or 2.0; a float is any finite JSON number.
     """
     return _read_config(cfg, _MODEL)["model"]
-
-
-def sample_n(model: DensityModel, n: int, seed) -> PointSet:
-    """n i.i.d. draws from the model as a PointSet, deterministic in the seed."""
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    return PointSet(model.sample(rng, n))

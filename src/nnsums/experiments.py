@@ -20,8 +20,8 @@ from scipy.special import ndtr
 
 from .conditions import check_divergence, condition_report
 from .densities import _MODEL, _REQUIRED, DensityModel, _read_config
-from .errors import ConditionRefused, ConfigError, DegenerateStatistic, InvalidRho
-from .limits import EntropyValue, entropy_from_integral, gamma_constant
+from .errors import ConditionRefused, ConfigError, DegenerateStatistic
+from .limits import EntropyValue, _check_rho, entropy_from_integral, gamma_constant
 from .neighbors import statistic_power
 from .points import PointSet
 
@@ -516,8 +516,7 @@ def run_entropy(config: EstimatorConfig, rho: float, force: bool = False) -> Ent
     largest sample size feeds the entropy transforms, and its standard
     error propagates through them by the delta method.
     """
-    if rho <= 0 or rho == 1.0:
-        raise InvalidRho(f"rho must be positive and != 1, got {rho}")
+    _check_rho(rho)
     d = config.model.dim
     alpha = d * (1.0 - rho)
     conv = run_convergence(replace(config, alpha=alpha), force=force)

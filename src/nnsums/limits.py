@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc, gammainccinv
+from scipy.special import gammainccinv
 
 from .errors import InvalidGammaArgument, InvalidRho, QuadratureBudgetExceeded
 from .neighbors import _elementwise
@@ -53,23 +53,24 @@ def _log_unit_ball_volume(d: int) -> float:
     return 0.5 * d * math.log(math.pi) - math.lgamma(1 + d / 2)
 
 
-@dataclass(frozen=True)
-class LimitConstantSpec:
-    """Parameters (d, j, alpha) of the limit constant; needs j + alpha/d > 0."""
+def _check_poisson_law(tau, d: int, j: int, alpha: float = 0.0) -> None:
+    """Refuse arguments outside the Poisson neighbor law.
 
-    d: int
-    j: int
-    alpha: float
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.d}")
-        if self.j < 1:
-            raise ValueError(f"neighbor rank must be >= 1, got {self.j}")
-        if self.j + self.alpha / self.d <= 0:
-            raise InvalidGammaArgument(
-                f"need j + alpha/d > 0, got j={self.j}, alpha={self.alpha}, d={self.d}"
-            )
+    ``tau`` (one intensity or an array of them) must be finite and
+    positive, d and j at least 1, and alpha finite with j + alpha/d > 0;
+    the last alone raises :class:`InvalidGammaArgument`.
+    """
+    taus = np.asarray(tau, dtype=float)
+    if not np.all((taus > 0) & (taus < math.inf)):
+        raise ValueError(f"intensity must be positive and finite, got {tau}")
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
+    if j < 1:
+        raise ValueError(f"neighbor rank j must be >= 1, got {j}")
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+    if j + alpha / d <= 0:
+        raise InvalidGammaArgument(f"need j + alpha/d > 0, got j={j}, alpha={alpha}, d={d}")
 
 
 def gamma_constant(d: int, j: int, alpha: float) -> float:
@@ -81,36 +82,11 @@ def gamma_constant(d: int, j: int, alpha: float) -> float:
     return poisson_nn_moment(1.0, d, j, alpha)
 
 
-def poisson_nn_tail(tau: float, d: int, j: int, t) -> float | np.ndarray:
-    """P[D_j > t] for the j-th neighbor distance of the origin in a
-    homogeneous Poisson process of intensity tau.
-
-    Equals the probability that the ball of radius t holds fewer than j
-    points; computed as the regularized upper incomplete gamma function,
-    which is exactly the Poisson CDF at j - 1.
-    """
-    if tau <= 0:
-        raise ValueError(f"intensity must be positive, got {tau}")
-    if j < 1:
-        raise ValueError(f"neighbor rank j must be >= 1, got {j}")
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("distances must be nonnegative")
-    mu = tau * unit_ball_volume(d) * t**d
-    out = gammaincc(j, mu)
-    return float(out) if out.ndim == 0 else out
-
-
 def poisson_nn_moment(tau: float, d: int, j: int, alpha: float) -> float:
     """E[D_j^alpha] = (tau * omega_d)^(-alpha/d) * Gamma(j + alpha/d) / Gamma(j)."""
-    if tau <= 0:
-        raise ValueError(f"intensity must be positive, got {tau}")
-    spec = LimitConstantSpec(d, j, alpha)
-    shape = spec.j + spec.alpha / spec.d
+    _check_poisson_law(tau, d, j, alpha)
     log_scale = math.log(tau) + _log_unit_ball_volume(d)
-    return math.exp(
-        -(spec.alpha / spec.d) * log_scale + math.lgamma(shape) - math.lgamma(spec.j)
-    )
+    return math.exp(-(alpha / d) * log_scale + math.lgamma(j + alpha / d) - math.lgamma(j))
 
 
 def sample_poisson_nn_distances(
@@ -124,6 +100,7 @@ def sample_poisson_nn_distances(
     radius; the induced bias is below the truncation probability times
     the radius.
     """
+    _check_poisson_law(tau, d, j)
     if n_draws < 1:
         raise ValueError("need at least one draw")
     scale = tau * unit_ball_volume(d)
@@ -212,17 +189,6 @@ def _adaptive_gauss(f, edges, tol: float) -> tuple[np.ndarray, np.ndarray]:
         parts = np.concatenate([left[stay], new_left, right[stay], new_right])
 
 
-@dataclass(frozen=True)
-class QuadratureBudget:
-    """Accuracy demanded of the limit-functional integration."""
-
-    tol: float = 1e-6
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
-
-
 def poisson_expectation(
     phi, tau, d: int, j: int, tol: float = 1e-9
 ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
@@ -243,11 +209,8 @@ def poisson_expectation(
     and intensities from 1e-3 to 1e3 the estimate stays under tol / 10
     while the true error reaches 0.65 tol; the value still lies within tol.
     """
+    _check_poisson_law(tau, d, j)
     taus = np.asarray(tau, dtype=float)
-    if not np.all(taus > 0):
-        raise ValueError(f"intensity must be positive, got {tau}")
-    if j < 1:
-        raise ValueError(f"neighbor rank j must be >= 1, got {j}")
     # D_j per unit of v, one column per intensity
     spacing = (taus.reshape(1, -1) * unit_ball_volume(d)) ** (-1.0 / d)
     log_norm = math.log(d) - math.lgamma(j)
@@ -272,7 +235,7 @@ def limit_functional(
     phi,
     density,
     j: int = 1,
-    budget: QuadratureBudget | None = None,
+    tol: float = 1e-6,
     return_error: bool = False,
 ):
     """Limit of the per-point phi-weighted neighbor sum over samples from
@@ -285,25 +248,26 @@ def limit_functional(
     Gauss-Legendre rule over y = -log u, u = 1/(1 + |x|), plus the counted
     piece beyond the intensity cutoff), which hands the inner expectation h
     a whole array of intensities at a time; h returns the array of their
-    Gamma-weight quadratures above, by the same rule. Raises
-    :class:`QuadratureBudgetExceeded` when either integral does not
-    converge or the combined error estimate does not meet the budget, as
+    Gamma-weight quadratures above, by the same rule. ``tol`` is the
+    accuracy demanded, relative to max(1, |value|); it must be finite and
+    positive. Raises :class:`QuadratureBudgetExceeded` when either integral
+    does not converge or the combined error estimate exceeds ``tol``, as
     happens when the limit is infinite.
     """
-    if budget is None:
-        budget = QuadratureBudget()
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     dim = density.dim
-    inner_tol = budget.tol / 10.0
+    inner_tol = tol / 10.0
 
     def h(intensity):
         value, _ = poisson_expectation(phi, intensity, dim, j, tol=inner_tol)
         return value
 
-    value, outer_err = density.expect_of_intensity(h, tol=budget.tol / 2.0)
+    value, outer_err = density.expect_of_intensity(h, tol=tol / 2.0)
     err = outer_err + inner_tol * max(1.0, abs(value))
-    if err > budget.tol * max(1.0, abs(value)):
+    if err > tol * max(1.0, abs(value)):
         raise QuadratureBudgetExceeded(
-            f"limit functional error estimate {err:.3g} exceeds tolerance {budget.tol:.3g}"
+            f"limit functional error estimate {err:.3g} exceeds tolerance {tol:.3g}"
         )
     if return_error:
         return value, err
@@ -321,10 +285,15 @@ class EntropyValue:
     renyi: float
 
 
+def _check_rho(rho: float) -> None:
+    """Refuse an entropy order that is not finite and positive, or is 1."""
+    if not 0 < rho < math.inf or rho == 1.0:
+        raise InvalidRho(f"rho must be finite, positive and != 1, got {rho}")
+
+
 def entropy_from_integral(rho: float, i_rho: float) -> EntropyValue:
     """Map a value of the integral of f^rho to both entropies."""
-    if rho <= 0 or rho == 1.0:
-        raise InvalidRho(f"rho must be positive and != 1, got {rho}")
+    _check_rho(rho)
     if not (i_rho > 0 and math.isfinite(i_rho)):
         raise ValueError(f"i_rho must be a positive finite number, got {i_rho}")
     return EntropyValue(

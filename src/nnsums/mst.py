@@ -1,4 +1,4 @@
-"""Euclidean minimum spanning trees and weighted edge functionals.
+"""Euclidean minimum spanning trees and the neighbor power sum L^b.
 
 Edges are ordered strictly by (squared length, i, j), so the tree and
 the order in which Prim's algorithm from vertex 0 discovers it are
@@ -16,7 +16,6 @@ diagnostics are phrased in.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import math
 from dataclasses import dataclass
@@ -51,13 +50,6 @@ class EdgeList:
 
     def edge_pairs(self) -> set:
         return {(e[0], e[1]) for e in self.edges}
-
-    def to_csv(self, path) -> None:
-        """Write rows (i, j, length), full float precision, no header."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for i, j, length in self.edges:
-                writer.writerow([i, j, repr(float(length))])
 
 
 def _pair(u: int, v: int) -> tuple[int, int]:
@@ -187,13 +179,6 @@ def _prim_mst(xs: PointSet) -> EdgeList:
     return EdgeList(n_vertices=n, edges=tuple(edges))
 
 
-def l_phi(xs: PointSet, phi, tree: EdgeList | None = None) -> float:
-    """Sum of phi(edge length) over the minimum spanning tree edges."""
-    if tree is None:
-        tree = build_mst(xs)
-    return float(sum(phi(length) for _, _, length in tree.edges))
-
-
 def l_power_nn(xs: PointSet, b: float, j: int = 1) -> float:
     """Unnormalized neighbor power sum: sum over points of D_j(x)^b.
 
@@ -201,4 +186,4 @@ def l_power_nn(xs: PointSet, b: float, j: int = 1) -> float:
     Raises :class:`~nnsums.errors.DegenerateStatistic` when a summand or the
     sum is not finite, as for b < 0 on tied points.
     """
-    return _weighted_sum(xs, j, lambda t: t**b, None, scale=False)
+    return _weighted_sum(xs, j, lambda t: t**b, scale=False)

@@ -50,17 +50,6 @@ class NeighborQuery:
             raise IndexError(f"query index must be >= 0, got {self.index}")
 
 
-@dataclass(frozen=True)
-class PowerWeight:
-    """The exponent applied to normalized neighbor distances."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.alpha):
-            raise ValueError(f"alpha must be finite, got {self.alpha}")
-
-
 def _sq_dists_to(points: np.ndarray, q: np.ndarray) -> np.ndarray:
     # Coordinate-by-coordinate accumulation; matches the kd-tree's distance
     # kernel op for op so the oracle and the tree round identically.
@@ -139,34 +128,28 @@ def build_index(xs: PointSet) -> NeighborIndex:
     return NeighborIndex(xs)
 
 
-def _index_over(xs: PointSet, index: NeighborIndex | None) -> NeighborIndex:
-    if index is None:
-        return NeighborIndex(xs)
-    if index.points is not xs:
-        raise ValueError("index was built over a different point set")
-    return index
-
-
 def nn_distance_indexed(xs: PointSet, q: NeighborQuery, index: NeighborIndex | None = None) -> float:
     """kd-tree accelerated version of :func:`nn_distance_bruteforce`.
 
     Bitwise-equal to the brute-force result for the same inputs. Pass a
     prebuilt ``index`` when issuing many queries against one set.
     """
-    return _index_over(xs, index).nn_distance(q)
+    if index is None:
+        index = NeighborIndex(xs)
+    elif index.points is not xs:
+        raise ValueError("index was built over a different point set")
+    return index.nn_distance(q)
 
 
-def knn_distances(xs: PointSet, j: int, index: NeighborIndex | None = None) -> np.ndarray:
-    """j-th neighbor distances for all points, exact, from the kd-tree.
-
-    Pass a prebuilt ``index`` over ``xs`` to reuse its tree.
-    """
+def knn_distances(xs: PointSet, j: int) -> np.ndarray:
+    """j-th neighbor distances for all points, exact, from one kd-tree
+    built over ``xs``."""
     if j < 1:
         raise ValueError(f"neighbor rank j must be >= 1, got {j}")
-    return _index_over(xs, index).knn_distances(j)
+    return NeighborIndex(xs).knn_distances(j)
 
 
-def _weighted_sum(xs: PointSet, j: int, weight, index: NeighborIndex | None, scale: bool) -> float:
+def _weighted_sum(xs: PointSet, j: int, weight, scale: bool) -> float:
     """Sum of weight(t) over the j-th neighbor distances t of the sample.
 
     With ``scale`` each distance is first multiplied by n^{1/d}. ``weight``
@@ -178,7 +161,7 @@ def _weighted_sum(xs: PointSet, j: int, weight, index: NeighborIndex | None, sca
     n = len(xs)
     if n <= j:
         return 0.0
-    dists = knn_distances(xs, j, index=index)
+    dists = knn_distances(xs, j)
     if scale:
         dists = float(n) ** (1.0 / xs.dim) * dists
     with np.errstate(all="ignore"):
@@ -194,12 +177,7 @@ def _weighted_sum(xs: PointSet, j: int, weight, index: NeighborIndex | None, sca
     return total
 
 
-def statistic_power(
-    xs: PointSet,
-    j: int,
-    alpha: float | PowerWeight,
-    index: NeighborIndex | None = None,
-) -> float:
+def statistic_power(xs: PointSet, j: int, alpha: float) -> float:
     """Sum over the sample of (n^{1/d} D_j)^alpha.
 
     Defined as 0 when the set has at most j points (all D_j are 0 by
@@ -207,23 +185,20 @@ def statistic_power(
     distance (tied points) would make a summand infinite; that raises
     :class:`DegenerateStatistic` so the caller can resample.
     """
-    if isinstance(alpha, PowerWeight):
-        alpha = alpha.alpha
     alpha = float(alpha)
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
-    return _weighted_sum(xs, j, lambda t: t**alpha, index, scale=True)
+    return _weighted_sum(xs, j, lambda t: t**alpha, scale=True)
 
 
-def statistic_phi(xs: PointSet, j: int, phi, index: NeighborIndex | None = None) -> float:
+def statistic_phi(xs: PointSet, j: int, phi) -> float:
     """Sum over the sample of phi(n^{1/d} D_j) for a weight function phi.
 
     Agrees with :func:`statistic_power` for phi(t) = t**alpha wherever both
     are defined. ``phi`` may act on arrays or on single floats. Non-finite
     phi values raise :class:`DegenerateStatistic`.
     """
-
-    return _weighted_sum(xs, j, lambda scaled: _elementwise(phi, scaled), index, scale=True)
+    return _weighted_sum(xs, j, lambda scaled: _elementwise(phi, scaled), scale=True)
 
 
 def _elementwise(phi, x: np.ndarray) -> np.ndarray:

@@ -73,10 +73,3 @@ class PointSet:
         if not rows:
             raise ValueError(f"{path}: no points found")
         return cls(rows)
-
-    def to_csv(self, path) -> None:
-        """Write one point per row, full float precision, no header."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in self._coords:
-                writer.writerow([repr(float(v)) for v in row])

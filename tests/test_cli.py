@@ -11,10 +11,15 @@ import numpy as np
 import pytest
 
 import nnsums
-from nnsums import PointSet
 from nnsums.cli import _CHECK_KEYS, _DIVERGE_KEYS, _ESTIMATE_KEYS, _LIMIT_KEYS, main
 from nnsums.densities import _CATALOG
 from nnsums.experiments import _ESTIMATOR_KEYS
+
+
+def _write_points(path, coords):
+    # one point per row, full float precision, no header: what PointSet.from_csv reads
+    rows = np.asarray(coords, dtype=float).reshape(len(coords), -1)
+    path.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows))
 
 
 def _write_config(tmp_path, name, payload):
@@ -196,7 +201,7 @@ def test_limit_cli_divergent_phi_exits_2(tmp_path, capsys):
 
 def test_estimate_cli(tmp_path, capsys):
     points = tmp_path / "pts.csv"
-    PointSet([0.0, 1.0, 3.0]).to_csv(points)
+    _write_points(points, [0.0, 1.0, 3.0])
     payload = {"points": str(points), "j": 1, "alpha": 1.0}
     cfg = _write_config(tmp_path, "est.json", payload)
     out = tmp_path / "est.csv"
@@ -211,7 +216,7 @@ def test_estimate_cli(tmp_path, capsys):
 
 def test_estimate_cli_phi(tmp_path, capsys):
     points = tmp_path / "pts.csv"
-    PointSet([0.0, 1.0, 3.0]).to_csv(points)
+    _write_points(points, [0.0, 1.0, 3.0])
     payload = {"points": str(points), "j": 1, "phi": "capped"}
     cfg = _write_config(tmp_path, "est.json", payload)
     assert main(["estimate", "--config", cfg]) == 0
@@ -220,7 +225,7 @@ def test_estimate_cli_phi(tmp_path, capsys):
 
 def test_estimate_rejects_both_weights(tmp_path, capsys):
     points = tmp_path / "pts.csv"
-    PointSet([0.0, 1.0, 3.0]).to_csv(points)
+    _write_points(points, [0.0, 1.0, 3.0])
     payload = {"points": str(points), "j": 1, "alpha": 1.0, "phi": "capped"}
     cfg = _write_config(tmp_path, "est.json", payload)
     assert main(["estimate", "--config", cfg]) == 2
@@ -229,7 +234,7 @@ def test_estimate_rejects_both_weights(tmp_path, capsys):
 @pytest.mark.parametrize("weight", [{"alpha": 1.0}, {"phi": "capped"}])
 def test_estimate_refuses_j_not_below_n(tmp_path, capsys, weight):
     points = tmp_path / "pts.csv"
-    PointSet(np.random.default_rng(0).random((50, 2))).to_csv(points)
+    _write_points(points, np.random.default_rng(0).random((50, 2)))
     out = tmp_path / "report.json"
     cfg = _write_config(tmp_path, "est.json", {"points": str(points), "j": 50} | weight)
     assert main(["estimate", "--config", cfg, "--out", str(out)]) == 2
@@ -270,7 +275,7 @@ _TYPO_CONFIGS = {
 
 @pytest.mark.parametrize("command", sorted(_TYPO_CONFIGS))
 def test_hand_read_subcommands_reject_unknown_keys(tmp_path, capsys, command):
-    PointSet([0.0, 1.0, 3.0]).to_csv(tmp_path / "pts.csv")
+    _write_points(tmp_path / "pts.csv", [0.0, 1.0, 3.0])
     payload, typos = _TYPO_CONFIGS[command]
     payload = dict(payload, **typos)
     if command == "estimate":
@@ -325,7 +330,7 @@ def _kind_cases():
 
 
 def _run_config(tmp_path, command, payload, *flags):
-    PointSet([0.0, 1.0, 3.0]).to_csv(tmp_path / "pts.csv")
+    _write_points(tmp_path / "pts.csv", [0.0, 1.0, 3.0])
     if payload.get("points") == "pts.csv":
         payload = dict(payload, points=str(tmp_path / "pts.csv"))
     cfg = _write_config(tmp_path, "cfg.json", payload)

@@ -5,18 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nnsums.conditions as conditions
 from nnsums import (
     AnnulusBallCounterexample,
     GaussianStandard,
     PowerLawTail,
     UniformConvexUnion,
-    check_bounded_support,
     check_divergence,
     check_moment_condition,
-    check_negative_alpha,
     check_power_tail,
     condition_report,
-    moment_threshold,
 )
 
 UNIFORM = UniformConvexUnion.unit_cube(2)
@@ -30,18 +28,18 @@ CX = AnnulusBallCounterexample(2, 1.0)
 
 
 def test_bounded_support_cases():
-    assert check_bounded_support(UNIFORM, 1.0)
-    assert not check_bounded_support(GAUSS, 1.0)  # unbounded support
-    assert not check_bounded_support(UNIFORM, -0.5)  # needs alpha > 0
-    assert not check_bounded_support(CX, 1.0)  # countably many pieces
+    assert condition_report(UNIFORM, 1.0, 1).bounded_support
+    assert not condition_report(GAUSS, 1.0, 1).bounded_support  # unbounded support
+    assert not condition_report(UNIFORM, -0.5, 1).bounded_support  # needs alpha > 0
+    assert not condition_report(CX, 1.0, 1).bounded_support  # countably many pieces
 
 
 def test_negative_alpha_cases():
-    assert check_negative_alpha(GAUSS, -0.5, 2)  # -1 < -0.5 < 0
-    assert check_negative_alpha(GAUSS, -1.5, 1)  # -2 < -1.5 < 0
-    assert not check_negative_alpha(GAUSS, -1.5, 2)  # alpha <= -d/q = -1
-    assert not check_negative_alpha(GAUSS, 0.5, 1)  # needs alpha < 0
-    assert check_negative_alpha(UNIFORM, -0.5, 1)  # any bounded pdf qualifies
+    assert condition_report(GAUSS, -0.5, 2).negative_alpha  # -1 < -0.5 < 0
+    assert condition_report(GAUSS, -1.5, 1).negative_alpha  # -2 < -1.5 < 0
+    assert not condition_report(GAUSS, -1.5, 2).negative_alpha  # alpha <= -d/q = -1
+    assert not condition_report(GAUSS, 0.5, 1).negative_alpha  # needs alpha < 0
+    assert condition_report(UNIFORM, -0.5, 1).negative_alpha  # any bounded pdf qualifies
 
 
 def test_moment_condition_cases():
@@ -84,13 +82,13 @@ def test_divergence_gaussian_regularity_fails():
 
 
 def test_threshold_values():
-    assert moment_threshold(1.0, 1, 2) == pytest.approx(2.0)
-    assert moment_threshold(0.4, 1, 2) == pytest.approx(0.5)
-    assert moment_threshold(0.5, 2, 2) == pytest.approx(2.0)
+    assert conditions._moment_threshold(1.0, 1, 2) == pytest.approx(2.0)
+    assert conditions._moment_threshold(0.4, 1, 2) == pytest.approx(0.5)
+    assert conditions._moment_threshold(0.5, 2, 2) == pytest.approx(2.0)
+    # the callers hold q and alpha in range
     with pytest.raises(ValueError):
-        moment_threshold(1.0, 3, 2)
-    with pytest.raises(ValueError):
-        moment_threshold(2.0, 1, 2)
+        check_moment_condition(POWER6, 1.0, 3)
+    assert not check_moment_condition(POWER6, 2.0, 1)  # alpha = d/q
 
 
 @settings(max_examples=60, deadline=None)
@@ -106,7 +104,7 @@ def test_threshold_increasing_in_alpha(q, d, data):
     lo_a, hi_a = sorted((a1, a2))
     if lo_a == hi_a:
         return
-    assert moment_threshold(lo_a, q, d) < moment_threshold(hi_a, q, d)
+    assert conditions._moment_threshold(lo_a, q, d) < conditions._moment_threshold(hi_a, q, d)
 
 
 # ---------------------------------------------------------------------------
@@ -189,4 +187,4 @@ def test_q_validation():
     with pytest.raises(ValueError):
         condition_report(GAUSS, 1.0, 3)
     with pytest.raises(ValueError):
-        check_negative_alpha(GAUSS, -0.5, 0)
+        condition_report(GAUSS, -0.5, 0)

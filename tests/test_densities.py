@@ -19,12 +19,18 @@ from nnsums import (
     PowerLawTail,
     UniformConvexUnion,
     model_from_config,
-    sample_n,
     unit_ball_volume,
 )
 
 GOF_SIGNIFICANCE = 1e-3
 GOF_SAMPLE = 100_000
+
+
+def _sample_n(model, n: int, seed) -> PointSet:
+    """n i.i.d. draws from the model as a PointSet, deterministic in the seed."""
+    if n < 1:
+        raise ValueError(f"sample size must be >= 1, got {n}")
+    return PointSet(model.sample(np.random.default_rng(seed), n))
 
 
 @pytest.fixture(scope="module")
@@ -246,14 +252,14 @@ def test_counterexample_balls_sit_inside_annuli():
 
 
 def test_uniform_sample_mean(catalog):
-    xs = sample_n(catalog["uniform"], GOF_SAMPLE, seed=101)
+    xs = _sample_n(catalog["uniform"], GOF_SAMPLE, seed=101)
     mean = xs.coords.mean(axis=0)
     se = math.sqrt(1.0 / 12.0 / GOF_SAMPLE)
     assert np.all(np.abs(mean - 0.5) < 3.0 * se)
 
 
 def test_gaussian_sample_variance(catalog):
-    xs = sample_n(catalog["gaussian"], GOF_SAMPLE, seed=202)
+    xs = _sample_n(catalog["gaussian"], GOF_SAMPLE, seed=202)
     var = xs.coords.var(axis=0, ddof=1)
     se = math.sqrt(2.0 / (GOF_SAMPLE - 1))
     assert np.all(np.abs(var - 1.0) < 3.0 * se)
@@ -263,7 +269,7 @@ def test_counterexample_shell_two_fraction(catalog):
     # r = 1: the mass of shell 2 is exactly 1/2
     c = catalog["counterexample"]
     assert c.annulus_mass(2) == pytest.approx(0.5, rel=1e-12)
-    xs = sample_n(c, GOF_SAMPLE, seed=303)
+    xs = _sample_n(c, GOF_SAMPLE, seed=303)
     norms = np.linalg.norm(xs.coords, axis=1)
     frac = np.mean((norms >= 4.0) & (norms < 8.0))
     se = math.sqrt(0.25 / GOF_SAMPLE)
@@ -272,16 +278,16 @@ def test_counterexample_shell_two_fraction(catalog):
 
 def test_sampling_is_deterministic(catalog):
     for model in catalog.values():
-        a = sample_n(model, 500, seed=777).coords
-        b = sample_n(model, 500, seed=777).coords
+        a = _sample_n(model, 500, seed=777).coords
+        b = _sample_n(model, 500, seed=777).coords
         np.testing.assert_array_equal(a, b)
-        c = sample_n(model, 500, seed=778).coords
+        c = _sample_n(model, 500, seed=778).coords
         assert not np.array_equal(a, c)
 
 
 def test_sample_points_live_on_support(catalog):
     for name, model in catalog.items():
-        xs = sample_n(model, 2000, seed=11)
+        xs = _sample_n(model, 2000, seed=11)
         dens = model.pdf(xs.coords)
         assert np.all(dens > 0), name
 
@@ -307,7 +313,7 @@ def _gof_pvalue(observed_counts, probs):
 
 
 def test_gof_uniform(catalog):
-    xs = sample_n(catalog["uniform"], GOF_SAMPLE, seed=404).coords
+    xs = _sample_n(catalog["uniform"], GOF_SAMPLE, seed=404).coords
     bins = 4
     ix = np.minimum((xs[:, 0] * bins).astype(int), bins - 1)
     iy = np.minimum((xs[:, 1] * bins).astype(int), bins - 1)
@@ -318,7 +324,7 @@ def test_gof_uniform(catalog):
 
 def test_gof_uniform_mixed(catalog):
     model = catalog["uniform_mixed"]
-    xs = sample_n(model, GOF_SAMPLE, seed=405).coords
+    xs = _sample_n(model, GOF_SAMPLE, seed=405).coords
     in_box = xs[:, 0] <= 1.0
     box, ball = model.bodies
     p_box = box.volume / model.total_volume
@@ -339,7 +345,7 @@ def test_gof_uniform_mixed(catalog):
 
 def test_gof_gaussian_radial(catalog):
     model = catalog["gaussian"]
-    xs = sample_n(model, GOF_SAMPLE, seed=406).coords
+    xs = _sample_n(model, GOF_SAMPLE, seed=406).coords
     norms = np.linalg.norm(xs, axis=1)
     edges = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, np.inf])
     counts = np.histogram(norms, bins=edges)[0]
@@ -355,7 +361,7 @@ def test_gof_power_radial(d, beta):
     # beta - d < 1 in the first two cases, so the denominator gamma draw has
     # shape below 1; the far bins (16, 64, 256) check the heavy tail.
     model = PowerLawTail(d, beta)
-    xs = sample_n(model, GOF_SAMPLE, seed=407).coords
+    xs = _sample_n(model, GOF_SAMPLE, seed=407).coords
     norms = np.linalg.norm(xs, axis=1)
     edges = np.array([0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 16.0, 64.0, 256.0, np.inf])
     counts = np.histogram(norms, bins=edges)[0]
@@ -368,7 +374,7 @@ def test_gof_power_radial(d, beta):
 
 def test_gof_counterexample_shells(catalog):
     model = catalog["counterexample"]
-    xs = sample_n(model, GOF_SAMPLE, seed=408).coords
+    xs = _sample_n(model, GOF_SAMPLE, seed=408).coords
     shells = _shell_index(np.linalg.norm(xs, axis=1))
     kmax = 12
     counts = [int(np.sum(shells == k)) for k in range(2, kmax)]
@@ -382,7 +388,7 @@ def test_gof_counterexample_shells(catalog):
 def test_shell_frequencies_match_annulus_mass(catalog):
     for name in ("gaussian", "power", "counterexample"):
         model = catalog[name]
-        xs = sample_n(model, GOF_SAMPLE, seed=55).coords
+        xs = _sample_n(model, GOF_SAMPLE, seed=55).coords
         shells = _shell_index(np.linalg.norm(xs, axis=1))
         for k in range(0, 6):
             mass = model.annulus_mass(k)
@@ -579,7 +585,7 @@ def test_uniform_moment_numeric_vs_monte_carlo(catalog):
     model = catalog["uniform_mixed"]
     r = 0.5
     value = _abs_moment(model, r)
-    xs = sample_n(model, GOF_SAMPLE, seed=66).coords
+    xs = _sample_n(model, GOF_SAMPLE, seed=66).coords
     draws = np.linalg.norm(xs, axis=1) ** r
     se = draws.std(ddof=1) / math.sqrt(len(draws))
     assert abs(value - draws.mean()) < 3.0 * se
@@ -589,7 +595,7 @@ def test_counterexample_moment_below_critical_vs_monte_carlo(catalog):
     c = catalog["counterexample"]
     value = _abs_moment(c, 0.5)
     assert math.isfinite(value)
-    xs = sample_n(c, GOF_SAMPLE, seed=77).coords
+    xs = _sample_n(c, GOF_SAMPLE, seed=77).coords
     draws = np.linalg.norm(xs, axis=1) ** 0.5
     se = draws.std(ddof=1) / math.sqrt(len(draws))
     assert abs(value - draws.mean()) < 3.0 * se
@@ -620,11 +626,11 @@ def test_power_empirical_moment_blowup_beyond_critical():
     # truncated moments E[min(|X|^2, M)] keep climbing when the moment
     # diverges (r = 2 > r_c = 1) and plateau when it is finite (r_c = 4)
     caps = (1e2, 1e4, 1e6)
-    divergent = np.linalg.norm(sample_n(PowerLawTail(2, 3.0), 100_000, seed=88).coords, axis=1) ** 2
+    divergent = np.linalg.norm(_sample_n(PowerLawTail(2, 3.0), 100_000, seed=88).coords, axis=1) ** 2
     div_means = [np.minimum(divergent, m).mean() for m in caps]
     assert div_means[0] < div_means[1] < div_means[2]
     assert div_means[2] / div_means[1] > 2.0
-    convergent = np.linalg.norm(sample_n(PowerLawTail(2, 6.0), 100_000, seed=88).coords, axis=1) ** 2
+    convergent = np.linalg.norm(_sample_n(PowerLawTail(2, 6.0), 100_000, seed=88).coords, axis=1) ** 2
     conv_means = [np.minimum(convergent, m).mean() for m in caps]
     assert conv_means[2] / conv_means[1] < 1.01
 
@@ -668,7 +674,7 @@ def test_uniform_annulus_matches_geometry():
     shifted = UniformConvexUnion([Box(lo=(1.0, 0.0), hi=(3.0, 1.0))])
     m0 = shifted.annulus_mass(0)
     # Monte Carlo oracle for the fraction inside radius 2
-    xs = sample_n(shifted, GOF_SAMPLE, seed=99).coords
+    xs = _sample_n(shifted, GOF_SAMPLE, seed=99).coords
     frac = float(np.mean(np.linalg.norm(xs, axis=1) <= 2.0))
     assert abs(m0 - frac) < 3.0 * math.sqrt(0.25 / GOF_SAMPLE)
 
@@ -731,8 +737,8 @@ def test_model_from_config_refuses_wrong_kinds(cfg, key):
 
 
 def test_sample_n_returns_point_set(catalog):
-    xs = sample_n(catalog["uniform"], 10, seed=1)
+    xs = _sample_n(catalog["uniform"], 10, seed=1)
     assert isinstance(xs, PointSet)
     assert len(xs) == 10
     with pytest.raises(ValueError):
-        sample_n(catalog["uniform"], 0, seed=1)
+        _sample_n(catalog["uniform"], 0, seed=1)

@@ -372,6 +372,9 @@ def test_entropy_invalid_rho():
         run_entropy(_config(), rho=1.0)
     with pytest.raises(InvalidRho):
         run_entropy(_config(), rho=0.0)
+    for rho in (math.nan, math.inf):
+        with pytest.raises(InvalidRho):
+            run_entropy(_config(), rho=rho)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Seeded outputs are part of the contract: the same configuration must give
 the same bytes. Each digest below is the sha256 of a report written by
-``ExperimentResult.write_json`` (or of an ``EdgeList.to_csv`` file), so a
-change to sampling, to the neighbor search, to the reduction or to the
-replication sweep that moves even the last bit of one value fails here.
+``ExperimentResult.write_json`` (or of an MST edge list that
+``_edges_digest`` writes as CSV), so a change to sampling, to the neighbor
+search, to the reduction or to the replication sweep that moves even the
+last bit of one value fails here.
 The CLI digests pin the ``--out`` report of ``nnsums converge``, ``diverge``
 and ``check``, so a change to how a JSON configuration is read that alters
 any value the run receives fails too.
@@ -13,6 +14,7 @@ so each model of the catalog has its sampling stream pinned.
 The digests were taken with numpy 2.4 and scipy 1.17 on x86-64.
 """
 
+import csv
 import hashlib
 import json
 
@@ -41,8 +43,10 @@ def _json_digest(result, tmp_path) -> str:
 
 
 def _edges_digest(tree, tmp_path) -> str:
+    # rows (i, j, length) at full float precision, no header, csv line ends
     path = tmp_path / "edges.csv"
-    tree.to_csv(path)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([i, j, repr(float(length))] for i, j, length in tree.edges)
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 

@@ -14,9 +14,7 @@ from nnsums import (
     GaussianStandard,
     InvalidGammaArgument,
     InvalidRho,
-    LimitConstantSpec,
     PowerLawTail,
-    QuadratureBudget,
     QuadratureBudgetExceeded,
     UniformConvexUnion,
     entropy_from_integral,
@@ -24,7 +22,6 @@ from nnsums import (
     limit_functional,
     poisson_expectation,
     poisson_nn_moment,
-    poisson_nn_tail,
     sample_poisson_nn_distances,
     unit_ball_volume,
 )
@@ -70,7 +67,7 @@ def test_gamma_constant_invalid_argument():
     with pytest.raises(InvalidGammaArgument):
         gamma_constant(2, 1, -2.0)
     with pytest.raises(InvalidGammaArgument):
-        LimitConstantSpec(d=3, j=1, alpha=-3.0)
+        gamma_constant(3, 1, -3.0)
 
 
 def test_gamma_constant_is_unit_intensity_moment():
@@ -89,29 +86,36 @@ def test_gamma_constant_large_j_stable():
 # Poisson neighbor-distance law
 
 
+def _poisson_nn_tail(tau: float, d: int, j: int, t):
+    """Oracle for P[D_j > t] at intensity tau: the probability that the ball
+    of radius t holds fewer than j points, which is the regularized upper
+    incomplete gamma function at the ball's Poisson mean."""
+    return gammaincc(j, tau * unit_ball_volume(d) * np.asarray(t, dtype=float) ** d)
+
+
 def test_tail_at_zero_is_one():
-    assert poisson_nn_tail(1.0, 2, 1, 0.0) == 1.0
-    assert poisson_nn_tail(3.7, 3, 4, 0.0) == 1.0
+    assert _poisson_nn_tail(1.0, 2, 1, 0.0) == 1.0
+    assert _poisson_nn_tail(3.7, 3, 4, 0.0) == 1.0
 
 
 def test_tail_poisson_zero_mass():
     # ball mean 1, j=1: probability the ball is empty is e^{-1}
     t = (1.0 / math.pi) ** 0.5
-    assert poisson_nn_tail(1.0, 2, 1, t) == pytest.approx(math.exp(-1.0), rel=1e-12)
+    assert _poisson_nn_tail(1.0, 2, 1, t) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
 
 def test_tail_poisson_mass_at_zero_and_one():
     t = (1.0 / math.pi) ** 0.5
-    assert poisson_nn_tail(1.0, 2, 2, t) == pytest.approx(2.0 * math.exp(-1.0), rel=1e-12)
+    assert _poisson_nn_tail(1.0, 2, 2, t) == pytest.approx(2.0 * math.exp(-1.0), rel=1e-12)
 
 
 def test_tail_monotone_in_t_and_j():
     ts = np.linspace(0.0, 3.0, 40)
     for j in (1, 2, 5):
-        tail = poisson_nn_tail(2.0, 2, j, ts)
+        tail = _poisson_nn_tail(2.0, 2, j, ts)
         assert np.all(np.diff(tail) <= 0)
     for t in (0.3, 1.0, 2.5):
-        vals = [poisson_nn_tail(2.0, 2, j, t) for j in (1, 2, 3, 4)]
+        vals = [_poisson_nn_tail(2.0, 2, j, t) for j in (1, 2, 3, 4)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
@@ -122,7 +126,7 @@ def test_moment_alpha_zero():
 def test_moment_matches_tail_integration_oracle():
     # independent route: E[D^2] = integral of 2 t * P[D > t] dt
     oracle, err = integrate.quad(
-        lambda t: 2.0 * t * poisson_nn_tail(1.0, 2, 1, t), 0.0, np.inf
+        lambda t: 2.0 * t * _poisson_nn_tail(1.0, 2, 1, t), 0.0, np.inf
     )
     assert err < 1e-10
     value = poisson_nn_moment(1.0, 2, 1, 2.0)
@@ -157,6 +161,29 @@ def test_moment_consistency_identity_grid():
 def test_moment_invalid_argument():
     with pytest.raises(InvalidGammaArgument):
         poisson_nn_moment(1.0, 2, 1, -2.0)
+    # a non-finite alpha gave NaN
+    for alpha in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            poisson_nn_moment(1.0, 2, 1, alpha)
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        gamma_constant(2, 1, math.nan)
+
+
+@pytest.mark.parametrize(
+    "tau, j", [(-1.0, 1), (0.0, 1), (math.nan, 1), (math.inf, 1), (1.0, 0)]
+)
+def test_poisson_law_refuses_the_same_arguments_everywhere(tau, j):
+    # the sampler returned complex or NaN draws, or raised ZeroDivisionError
+    # or IndexError, where the moment and the expectation refuse
+    rng = np.random.default_rng(0)
+    calls = (
+        lambda: sample_poisson_nn_distances(tau, 2, j, 10, rng),
+        lambda: poisson_nn_moment(tau, 2, j, 1.0),
+        lambda: poisson_expectation(np.sqrt, tau, 2, j),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="intensity|neighbor rank"):
+            call()
 
 
 def test_monte_carlo_agreement():
@@ -260,7 +287,7 @@ def test_limit_functional_budget_enforced():
             lambda t: t,
             GaussianStandard(2),
             j=1,
-            budget=QuadratureBudget(tol=1e-15),
+            tol=1e-15,
         )
 
 
@@ -364,8 +391,10 @@ def test_limit_functional_raises_no_integration_warning():
 
 
 def test_quadrature_budget_validation():
-    with pytest.raises(ValueError):
-        QuadratureBudget(tol=0.0)
+    # a NaN tolerance would pass every `err > tol` budget check
+    for tol in (0.0, -1e-6, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tolerance"):
+            limit_functional(lambda t: t, GaussianStandard(2), j=1, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +430,10 @@ def test_entropy_invalid_rho():
         entropy_from_integral(-0.5, 0.5)
     with pytest.raises(ValueError):
         entropy_from_integral(0.5, math.inf)
+    # a non-finite rho gave NaN or signed-zero entropies
+    for rho in (math.nan, math.inf):
+        with pytest.raises(InvalidRho):
+            entropy_from_integral(rho, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -417,4 +450,4 @@ def test_entropy_invalid_rho():
 )
 def test_tail_monotone_property(tau, d, j, t1, t2):
     lo, hi = sorted((t1, t2))
-    assert poisson_nn_tail(tau, d, j, hi) <= poisson_nn_tail(tau, d, j, lo) + 1e-15
+    assert _poisson_nn_tail(tau, d, j, hi) <= _poisson_nn_tail(tau, d, j, lo) + 1e-15

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import minimum_spanning_tree as scipy_mst
 
-from nnsums import DegenerateStatistic, PointSet, build_mst, l_phi, l_power_nn
+from nnsums import DegenerateStatistic, PointSet, build_mst, l_power_nn
 from nnsums import mst
 
 
@@ -135,14 +135,6 @@ def test_rigid_motion_and_scaling():
     assert build_mst(PointSet(2.5 * pts)).total_length == pytest.approx(2.5 * base, rel=1e-9)
 
 
-def test_edge_list_csv(tmp_path):
-    tree = build_mst(PointSet([0.0, 1.0, 3.0]))
-    path = tmp_path / "edges.csv"
-    tree.to_csv(path)
-    rows = path.read_text().strip().splitlines()
-    assert rows == ["0,1,1.0", "1,2,2.0"]
-
-
 def _grid(k: int) -> np.ndarray:
     return np.array([[float(a), float(b)] for a in range(k) for b in range(k)])
 
@@ -234,31 +226,6 @@ def test_build_mst_memory_is_linear(path):
 
 
 # ---------------------------------------------------------------------------
-# weighted edge sums
-
-
-def test_l_phi_identity():
-    assert l_phi(PointSet([0.0, 1.0, 3.0]), lambda t: t) == 3.0
-
-
-def test_l_phi_square_on_unit_square():
-    corners = PointSet([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    assert l_phi(corners, lambda t: t * t) == pytest.approx(3.0, rel=1e-12)
-
-
-def test_l_phi_constant_counts_edges():
-    rng = np.random.default_rng(2)
-    xs = PointSet(rng.random((23, 2)))
-    assert l_phi(xs, lambda t: 1.0) == 22.0
-
-
-def test_l_phi_reuses_tree():
-    xs = PointSet([0.0, 1.0, 3.0])
-    tree = build_mst(xs)
-    assert l_phi(xs, lambda t: t, tree=tree) == 3.0
-
-
-# ---------------------------------------------------------------------------
 # unnormalized neighbor power sums and their subadditivity geometry
 
 
@@ -342,7 +309,7 @@ def test_rescaled_edge_power_sum_stabilizes():
         for _ in range(4):
             pts = rng.random((n, 2))
             scaled = PointSet(math.sqrt(n) * pts)
-            vals.append(l_phi(scaled, lambda t: t) / n)
+            vals.append(build_mst(scaled).total_length / n)
         means[n] = float(np.mean(vals))
     late = [means[1200], means[2400], means[4800]]
     spread_late = max(late) - min(late)

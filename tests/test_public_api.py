@@ -1,0 +1,93 @@
+"""The public surface of nnsums is what its users outside the package use.
+
+Those users are the CLI and the experiment drivers (inside the package),
+the acceptance suite and the benchmark workloads. A name that leaves
+``__all__`` while one of them still imports it fails here, and so does a
+name that joins ``__all__`` without being added to the list below.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import nnsums
+
+ROOT = Path(__file__).resolve().parent.parent
+
+PUBLIC = [
+    "AnnulusBallCounterexample",
+    "Ball",
+    "Box",
+    "ConditionRefused",
+    "ConditionReport",
+    "ConfigError",
+    "DegenerateStatistic",
+    "DensityModel",
+    "DivergenceSchedule",
+    "EdgeList",
+    "EntropyValue",
+    "EstimatorConfig",
+    "ExperimentResult",
+    "GaussianStandard",
+    "InvalidGammaArgument",
+    "InvalidRho",
+    "NeighborIndex",
+    "NeighborQuery",
+    "PHI_REGISTRY",
+    "PointSet",
+    "PowerLawTail",
+    "QuadratureBudgetExceeded",
+    "UniformConvexUnion",
+    "build_index",
+    "build_mst",
+    "check_divergence",
+    "check_moment_condition",
+    "check_power_tail",
+    "condition_report",
+    "entropy_from_integral",
+    "gamma_constant",
+    "knn_distances",
+    "l_power_nn",
+    "limit_functional",
+    "mann_kendall_increasing",
+    "model_from_config",
+    "nn_distance_bruteforce",
+    "nn_distance_indexed",
+    "poisson_expectation",
+    "poisson_nn_moment",
+    "run_convergence",
+    "run_divergence",
+    "run_entropy",
+    "run_moment_probe",
+    "sample_poisson_nn_distances",
+    "statistic_phi",
+    "statistic_power",
+    "unit_ball_volume",
+]
+
+
+def test_all_is_the_expected_sorted_list():
+    assert len(PUBLIC) == 48
+    assert PUBLIC == sorted(PUBLIC)
+    assert nnsums.__all__ == PUBLIC
+    for name in nnsums.__all__:
+        assert getattr(nnsums, name) is not None, name
+
+
+def test_acceptance_imports_are_public():
+    tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "nnsums"
+        for alias in node.names
+    }
+    assert imported
+    assert imported <= set(nnsums.__all__), sorted(imported - set(nnsums.__all__))
+
+
+def test_benchmark_workload_calls_are_public():
+    text = (ROOT / "benchmarks" / "workloads.py").read_text()
+    called = set(re.findall(r"\bnn\.([A-Za-z_]\w*)", text))
+    assert called
+    assert called <= set(nnsums.__all__), sorted(called - set(nnsums.__all__))
