@@ -187,7 +187,11 @@ class Box:
 
 @dataclass(frozen=True)
 class Ball:
-    """Euclidean ball with strictly positive radius."""
+    """Euclidean ball with strictly positive radius.
+
+    A sample is center + radius * v, with v drawn uniformly in the unit
+    ball by :func:`_unit_ball_sample`.
+    """
 
     center: tuple
     radius: float
@@ -228,18 +232,7 @@ class Ball:
         return np.sum(diff * diff, axis=-1) <= self.radius**2
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        # uniform rejection from the bounding box
-        center = np.asarray(self.center)
-        out = np.empty((n, self.dim))
-        need = n
-        while need:
-            cand = center + self.radius * (2.0 * rng.random((need, self.dim)) - 1.0)
-            keep = self.contains(cand)
-            got = int(keep.sum())
-            if got:
-                out[n - need : n - need + got] = cand[keep]
-                need -= got
-        return out
+        return np.asarray(self.center) + self.radius * _unit_ball_sample(rng, n, self.dim)
 
     def radial_volume(self, s: float) -> float:
         if s <= self.origin_distance:
@@ -247,6 +240,22 @@ class Ball:
         if s >= self.bounding_radius:
             return self.volume
         return _ball_ball_volume(self.center_norm, self.radius, s, self.dim)
+
+
+def _unit_ball_sample(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """n points uniform in the unit ball of R^d, by rejection from [-1, 1]^d.
+
+    Each round draws one candidate per missing point and keeps those inside
+    the ball, so the stream of draws depends only on n, d and the seed.
+    """
+    out = np.empty((n, d))
+    got = 0
+    while got < n:
+        v = 2.0 * rng.random((n - got, d)) - 1.0
+        v = v[(v * v).sum(axis=-1) <= 1.0]
+        out[got : got + len(v)] = v
+        got += len(v)
+    return out
 
 
 def _bodies_overlap(a, b) -> bool:
@@ -653,6 +662,12 @@ class AnnulusBallCounterexample(DensityModel):
     moment equals r, and the integral of f^rho is finite for every
     rho > 0. The density is bounded but not continuous; boundedness is
     all the divergence analysis needs.
+
+    A sample draws the shell index k from a shifted geometric law, then an
+    offset uniform in the unit ball (:func:`_unit_ball_sample`), and adds
+    3 * 2^(k-1) to its first coordinate. That center is +inf in floating
+    point from k = 1024 on, and P(k >= 1024) = 2^(-1022 r), so a rate below
+    53/1022 is refused: at the bound that probability is 2^-53.
     """
 
     name = "counterexample"
@@ -662,6 +677,11 @@ class AnnulusBallCounterexample(DensityModel):
         r = float(r)
         if not (r > 0 and math.isfinite(r)):
             raise ValueError(f"decay rate r must be positive and finite, got {r}")
+        if r < 53 / 1022:
+            raise ValueError(
+                f"decay rate r={r} is below 53/1022: shells k >= 1024, whose "
+                "centers overflow to +inf, would be drawn too often"
+            )
         self.r = r
         self._omega = unit_ball_volume(dim)
         # sum_{k>=2} 2^(-r k) = 2^(-2r) / (1 - 2^(-r))
@@ -694,9 +714,8 @@ class AnnulusBallCounterexample(DensityModel):
         return float(out[0]) if np.asarray(x).ndim == 1 else out
 
     def sample(self, rng, n):
-        # shell index first (shifted geometric), then uniform in that ball
         k = rng.geometric(1.0 - 2.0 ** (-self.r), size=n) + 1
-        offsets = Ball(center=(0.0,) * self.dim, radius=1.0).sample(rng, n)
+        offsets = _unit_ball_sample(rng, n, self.dim)
         offsets[:, 0] += 3.0 * 2.0 ** (k.astype(float) - 1.0)
         return offsets
 

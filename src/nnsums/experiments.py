@@ -363,8 +363,24 @@ def _summarize(values: np.ndarray, n: int, target, q: int) -> SizeSummary:
     lq = None
     if isinstance(target, float) and math.isfinite(target):
         lq = float(np.mean(np.abs(values - target) ** q))
-    se = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
-    return SizeSummary(n=n, mean=mean, lq_error=lq, std_error=se)
+    return SizeSummary(n=n, mean=mean, lq_error=lq, std_error=_std_error(values))
+
+
+def _std_error(values: np.ndarray) -> float:
+    """Standard error of the mean; 0 for a single value.
+
+    Deviations beyond about 1e154 overflow when squared, so a non-finite
+    result from finite values is computed again on values / max|v|.
+    """
+    if len(values) < 2:
+        return 0.0
+    root_n = math.sqrt(len(values))
+    with np.errstate(over="ignore"):
+        se = float(values.std(ddof=1) / root_n)
+    if not math.isfinite(se) and np.isfinite(values).all():
+        top = float(np.abs(values).max())
+        se = top * float((values / top).std(ddof=1) / root_n)
+    return se
 
 
 def _sweep(result, model, sizes, alpha, replications, seed, scale=1.0) -> None:

@@ -166,15 +166,16 @@ def _weighted_sum(xs: PointSet, j: int, weight, scale: bool) -> float:
         dists = float(n) ** (1.0 / xs.dim) * dists
     with np.errstate(all="ignore"):
         vals = weight(dists)
-        total = float(np.sum(vals))
+        total = float(vals.sum())
+    # a finite total has only finite summands, so count them only otherwise
+    if math.isfinite(total):
+        return total
     bad = int(np.count_nonzero(~np.isfinite(vals)))
     if bad:
         raise DegenerateStatistic(
             f"{bad} of {n} summands not finite (tied points under a negative power?)"
         )
-    if not math.isfinite(total):
-        raise DegenerateStatistic(f"the sum of {n} finite summands overflowed")
-    return total
+    raise DegenerateStatistic(f"the sum of {n} finite summands overflowed")
 
 
 def statistic_power(xs: PointSet, j: int, alpha: float) -> float:

@@ -25,7 +25,7 @@ class PointSet:
             raise ValueError(f"expected an (n, d) coordinate array, got shape {arr.shape}")
         if arr.shape[1] < 1:
             raise ValueError("points must have at least one coordinate")
-        if arr.size and not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("point coordinates must be finite")
         arr.setflags(write=False)
         self._coords = arr

@@ -368,6 +368,7 @@ _REFUSED = {
     "converge-beta-string": ("converge", {"beta": "6"}, "'beta'"),
     "diverge-j-float": ("diverge", {"j": 1.9}, "'j'"),
     "diverge-r-bool": ("diverge", {"r": True}, "'r'"),
+    "diverge-r-overflowing-shells": ("diverge", {"r": 0.01}, "r=0.01 is below 53/1022"),
     "diverge-k_grid-string": ("diverge", {"k_grid": "234"}, "'k_grid'"),
     "diverge-k_grid-and-range": ("diverge", {"k_min": 2, "k_max": 4}, "'k_grid'"),
     "limit-j-float": ("limit", {"j": 2.9}, "'j'"),

@@ -86,6 +86,14 @@ def test_counterexample_rejects_bad_rate():
         AnnulusBallCounterexample(2, 0.0)
     with pytest.raises(ValueError):
         AnnulusBallCounterexample(2, -1.0)
+    # shell k >= 1024 is centred at 3 * 2^(k-1) = +inf; P(k >= 1024) = 2^(-1022 r)
+    with pytest.raises(ValueError, match="r=0.01 is below 53/1022"):
+        AnnulusBallCounterexample(2, 0.01)
+    with pytest.raises(ConfigError, match="r=0.01 is below 53/1022"):
+        model_from_config({"model": "counterexample", "d": 2, "r": 0.01})
+    for r in (53 / 1022, 0.5, 1.0, 2.0):
+        model = AnnulusBallCounterexample(2, r)
+        assert np.isfinite(model.sample(np.random.default_rng(3), 20000)).all()
 
 
 def test_power_law_requires_beta_above_d():
@@ -283,6 +291,73 @@ def test_sampling_is_deterministic(catalog):
         np.testing.assert_array_equal(a, b)
         c = _sample_n(model, 500, seed=778).coords
         assert not np.array_equal(a, c)
+
+
+def _reference_ball_sample(center, radius, rng, n):
+    # The rejection loop Ball.sample once ran: shift and scale each batch of
+    # candidates, then accept where |c + r(2u - 1) - c|^2 <= r^2.
+    center = np.asarray(center, dtype=float)
+    out = np.empty((n, len(center)))
+    need = n
+    while need:
+        cand = center + radius * (2.0 * rng.random((need, len(center))) - 1.0)
+        diff = cand - center
+        keep = np.sum(diff * diff, axis=-1) <= radius**2
+        got = int(keep.sum())
+        if got:
+            out[n - need : n - need + got] = cand[keep]
+            need -= got
+    return out
+
+
+def _assert_same_draws(sample, reference, seeds):
+    # same points, and the generators left in the same state: a sampler that
+    # draws its candidates in other batches passes the first and fails this
+    for seed in seeds:
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = sample(rng), reference(ref_rng)
+        assert np.array_equal(got, want), seed
+        assert rng.bit_generator.state == ref_rng.bit_generator.state, seed
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("n", [1, 2, 9, 256])
+def test_counterexample_sample_matches_reference_rejection(d, r, n):
+    model = AnnulusBallCounterexample(d, r)
+
+    def reference(rng):
+        k = rng.geometric(1.0 - 2.0 ** (-r), size=n) + 1
+        offsets = _reference_ball_sample((0.0,) * d, 1.0, rng, n)
+        offsets[:, 0] += 3.0 * 2.0 ** (k.astype(float) - 1.0)
+        return offsets
+
+    _assert_same_draws(lambda rng: model.sample(rng, n), reference, range(200))
+
+
+@pytest.mark.parametrize(
+    "ball",
+    [
+        Ball(center=(0.0,), radius=1.0),
+        Ball(center=(4.0,), radius=1.5),
+        Ball(center=(0.0, 0.0), radius=1.0),
+        Ball(center=(1.5, 0.0), radius=1.0),
+        Ball(center=(2.5, 1.0), radius=1.0),
+        Ball(center=(3.0, 0.5), radius=0.5),
+        Ball(center=(4.0, 0.0), radius=1.5),
+        Ball(center=(0.0, 0.0, 0.0), radius=1.0),
+        Ball(center=(4.0, 0.0, 0.0), radius=1.5),
+    ],
+)
+def test_ball_sample_matches_reference_rejection(ball):
+    # the accept test now runs before the shift and scale; on these balls it
+    # still accepts exactly the candidates the reference loop accepts
+    for n in (1, 9, 256):
+        _assert_same_draws(
+            lambda rng: ball.sample(rng, n),
+            lambda rng: _reference_ball_sample(ball.center, ball.radius, rng, n),
+            range(1000),
+        )
 
 
 def test_sample_points_live_on_support(catalog):

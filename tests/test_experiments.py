@@ -336,6 +336,23 @@ def test_divergence_refuses_shell_without_jth_neighbour():
     assert schedule.n_of_k == (4, 8)
 
 
+@pytest.mark.filterwarnings("error")
+def test_divergence_std_error_stays_finite_past_the_square_overflow(tmp_path):
+    # the shell-3 values reach 1e155: their deviations overflow when squared
+    # as they are, but not once scaled by a power of two
+    _, result = run_divergence(AnnulusBallCounterexample(2, 0.06), 1.95, [2, 3], 300, 2)
+    top = result.summaries[1]
+    values = [rec.value for rec in result.records if rec.n == top.n]
+    shift = math.frexp(max(map(abs, values)))[1]
+    scaled = [math.ldexp(v, -shift) for v in values]
+    mean = math.fsum(scaled) / len(scaled)
+    var = math.fsum((v - mean) ** 2 for v in scaled) / (len(scaled) - 1)
+    oracle = math.ldexp(math.sqrt(var / len(scaled)), shift)
+    assert math.isfinite(top.mean) and top.mean > 1e150
+    assert top.std_error == pytest.approx(oracle, rel=1e-12)
+    result.write_json(tmp_path / "out.json")
+
+
 def test_divergence_trivial_single_shell():
     schedule, result = run_divergence(CX, 1.5, [2], replications=3, seed=11)
     assert schedule.n_of_k == (2,)

@@ -199,7 +199,7 @@ def test_power_sum_refuses_non_finite_alpha(alpha):
 
 def test_degenerate_negative_alpha_on_ties():
     xs = PointSet([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
-    with pytest.raises(DegenerateStatistic):
+    with pytest.raises(DegenerateStatistic, match="2 of 3 summands not finite"):
         statistic_power(xs, 1, -0.5)
     # nonnegative exponents stay total
     assert statistic_power(xs, 1, 0.0) == 3.0
@@ -228,14 +228,17 @@ def test_phi_scalar_callable_falls_back():
 def test_phi_non_finite_raises():
     xs = PointSet([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
     with np.errstate(divide="ignore"):
-        with pytest.raises(DegenerateStatistic):
+        with pytest.raises(DegenerateStatistic, match="summands not finite"):
             statistic_phi(xs, 1, lambda t: 1.0 / t)
+    # normalized distances 3, 3, 6 give -inf, -inf, +inf, whose total is NaN
+    with pytest.raises(DegenerateStatistic, match="3 of 3 summands not finite"):
+        statistic_phi(LINE, 1, lambda t: np.where(t > 4.0, np.inf, -np.inf))
 
 
 def test_power_sum_overflow_raises():
     # every summand is finite but their sum is not
     xs = PointSet([0.0, 1.0, 2.0])
-    with pytest.raises(DegenerateStatistic):
+    with pytest.raises(DegenerateStatistic, match="overflowed"):
         statistic_power(xs, 1, 646.0)
     with pytest.raises(DegenerateStatistic):
         statistic_phi(xs, 1, lambda t: np.full_like(t, 1e308))
