@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .densities import DensityModel
 
@@ -106,19 +106,10 @@ class ConditionReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "q": self.q,
-            "bounded_support": self.bounded_support,
-            "negative_alpha": self.negative_alpha,
-            "moment_condition": self.moment_condition,
-            "power_tail": self.power_tail,
-            "divergence": self.divergence,
-            "notes": list(self.notes),
-        }
+        return asdict(self)
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def condition_report(model: DensityModel, alpha: float, q: int) -> ConditionReport:

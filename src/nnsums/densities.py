@@ -278,7 +278,11 @@ class DensityModel(ABC):
     """A sampling density together with its analytic summaries.
 
     Subclasses are immutable after construction, and their normalizing
-    constants are closed forms, so building one runs no quadrature.
+    constants are closed forms, so building one runs no quadrature. The
+    annulus masses come from one rule, :meth:`annulus_mass`, over the
+    subclass's radial CDF ``_radial_cdf(s)``; a model whose shells have a
+    closed form overrides the rule instead. :meth:`expect_of_intensity`
+    takes its error budget ``tol`` from the caller, with no default.
     Sampling takes a caller-supplied generator; one generator must not be
     shared across concurrent callers, but distinct generators may run in
     parallel.
@@ -316,13 +320,21 @@ class DensityModel(ABC):
     def critical_moment(self) -> float:
         """Supremum of the orders with a finite absolute moment."""
 
-    @abstractmethod
     def annulus_mass(self, k: int) -> float:
-        """Probability of the annulus A_k (A_0 is the ball of radius 2)."""
+        """Probability of the annulus A_k (A_0 is the ball of radius 2).
+
+        The difference of the radial CDF ``self._radial_cdf(s)``, the
+        probability of |X| <= s, at the radii 2^k and 2^(k+1).
+        """
+        if k < 0:
+            raise ValueError(f"annulus index must be >= 0, got {k}")
+        if k == 0:
+            return self._radial_cdf(2.0)
+        return self._radial_cdf(2.0 ** (k + 1)) - self._radial_cdf(2.0**k)
 
     @abstractmethod
-    def expect_of_intensity(self, h, tol: float = 1e-8) -> tuple[float, float]:
-        """(value, error) of the integral of h(f(x)) f(x) dx.
+    def expect_of_intensity(self, h, tol: float) -> tuple[float, float]:
+        """(value, error) of the integral of h(f(x)) f(x) dx, to within ``tol``.
 
         ``h`` maps an array of intensities to the array of its values (and
         one intensity to one value); models call it once per batch of
@@ -364,13 +376,6 @@ class DensityModel(ABC):
 
     def to_config(self) -> dict:
         return {"model": self.name, "d": self.dim}
-
-    def _check_radial_annulus(self, radial_cdf, k: int) -> float:
-        if k < 0:
-            raise ValueError(f"annulus index must be >= 0, got {k}")
-        if k == 0:
-            return radial_cdf(2.0)
-        return radial_cdf(2.0 ** (k + 1)) - radial_cdf(2.0**k)
 
     def __repr__(self) -> str:
         params = {k: v for k, v in self.to_config().items() if k != "model"}
@@ -489,13 +494,10 @@ class UniformConvexUnion(DensityModel):
     def critical_moment(self):
         return math.inf
 
-    def annulus_mass(self, k):
-        return self._check_radial_annulus(self._radial_cdf, k)
-
     def _radial_cdf(self, s: float) -> float:
         return sum(b.radial_volume(s) / self.total_volume for b in self.bodies)
 
-    def expect_of_intensity(self, h, tol=1e-8):
+    def expect_of_intensity(self, h, tol):
         # f is constant on its support, so the integral collapses exactly
         return h(1.0 / self.total_volume), 0.0
 
@@ -526,7 +528,28 @@ class UniformConvexUnion(DensityModel):
         return {"model": self.name, "d": self.dim, "bodies": bodies}
 
 
-class GaussianStandard(DensityModel):
+class _RadialModel(DensityModel):
+    """A density f(x) = _profile(|x|) that decreases in |x|: its pdf, its
+    supremum f(0) and its limit integrals all come from the profile."""
+
+    @abstractmethod
+    def _profile(self, s: np.ndarray) -> np.ndarray:
+        """The density at radius s."""
+
+    def pdf(self, x):
+        x = np.asarray(x, dtype=float)
+        out = self._profile(np.sqrt(np.sum(x * x, axis=-1)))
+        return float(out) if out.ndim == 0 else out
+
+    def expect_of_intensity(self, h, tol):
+        return _radial_expectation(self._profile, self.dim, h, tol)
+
+    @property
+    def sup_pdf(self):
+        return float(self._profile(0.0))
+
+
+class GaussianStandard(_RadialModel):
     """Standard normal on R^d: mean zero, identity covariance."""
 
     name = "gaussian"
@@ -534,11 +557,8 @@ class GaussianStandard(DensityModel):
     def _profile(self, s: np.ndarray) -> np.ndarray:
         return (2.0 * math.pi) ** (-self.dim / 2.0) * np.exp(-0.5 * s * s)
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        sq = np.sum(x * x, axis=-1)
-        out = (2.0 * math.pi) ** (-self.dim / 2.0) * np.exp(-0.5 * sq)
-        return float(out) if out.ndim == 0 else out
+    def _radial_cdf(self, s: float) -> float:
+        return float(gammainc(self.dim / 2.0, 0.5 * s * s))
 
     def sample(self, rng, n):
         return rng.standard_normal((n, self.dim))
@@ -551,23 +571,11 @@ class GaussianStandard(DensityModel):
     def critical_moment(self):
         return math.inf
 
-    def annulus_mass(self, k):
-        return self._check_radial_annulus(
-            lambda s: float(gammainc(self.dim / 2.0, 0.5 * s * s)), k
-        )
-
-    def expect_of_intensity(self, h, tol=1e-8):
-        return _radial_expectation(self._profile, self.dim, h, tol)
-
-    @property
-    def sup_pdf(self):
-        return (2.0 * math.pi) ** (-self.dim / 2.0)
-
     def shell_regularity(self):
         return False  # shell masses decay super-geometrically
 
 
-class PowerLawTail(DensityModel):
+class PowerLawTail(_RadialModel):
     """Heavy-tailed density f(x) = c_beta * (1 + |x|)^(-beta), beta > d.
 
     The normalizing constant is c_beta = 1 / (d * omega_d * B(d, beta - d)),
@@ -593,12 +601,6 @@ class PowerLawTail(DensityModel):
 
     def _profile(self, s: np.ndarray) -> np.ndarray:
         return self.c_beta * (1.0 + s) ** (-self.beta)
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        norms = np.sqrt(np.sum(x * x, axis=-1))
-        out = self.c_beta * (1.0 + norms) ** (-self.beta)
-        return float(out) if out.ndim == 0 else out
 
     def _radial_cdf(self, s):
         # With t = 1/(1+s) the radial integral becomes an incomplete Beta
@@ -630,16 +632,6 @@ class PowerLawTail(DensityModel):
 
     def critical_moment(self):
         return self.beta - self.dim
-
-    def annulus_mass(self, k):
-        return self._check_radial_annulus(self._radial_cdf, k)
-
-    def expect_of_intensity(self, h, tol=1e-8):
-        return _radial_expectation(self._profile, self.dim, h, tol)
-
-    @property
-    def sup_pdf(self):
-        return self.c_beta
 
     @property
     def power_law_tail_exponent(self):
@@ -688,35 +680,26 @@ class AnnulusBallCounterexample(DensityModel):
         shell_sum = 2.0 ** (-2.0 * r) / (1.0 - 2.0 ** (-r))
         self.c_norm = 1.0 / (self._omega * shell_sum)
 
-    def center_coordinate(self, k: int) -> float:
-        return 3.0 * 2.0 ** (k - 1)
+    def center_coordinate(self, k):
+        """First coordinate 3 * 2^(k-1) of the center of B_k (k an int or an array)."""
+        return 3.0 * 2.0 ** (k - 1.0)
 
     def pdf(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        first = x[:, 0]
-        rest_sq = np.sum(x[:, 1:] * x[:, 1:], axis=1)
-        out = np.zeros(len(x))
-        positive = first > 1.0
-        if np.any(positive):
-            k_est = np.floor(np.log2(first[positive] / 3.0) + 1.0).astype(int)
-            vals = np.zeros(int(positive.sum()))
-            for dk in (0, 1, -1):
-                k = k_est + dk
-                ok = k >= 2
-                centers = 3.0 * 2.0 ** (k.astype(float) - 1.0)
-                inside = ok & (
-                    (first[positive] - centers) ** 2 + rest_sq[positive] <= 1.0
-                )
-                vals = np.where(
-                    inside, self.c_norm * 2.0 ** (-self.r * k.astype(float)), vals
-                )
-            out[positive] = vals
-        return float(out[0]) if np.asarray(x).ndim == 1 else out
+        x = np.asarray(x, dtype=float)
+        first = x[..., 0]
+        # a point of B_k has |x_1 - 3 * 2^(k-1)| <= 1, so log2(x_1 / 3) is
+        # within 0.27 of k - 1; past the last finite center f is 0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            k = np.fmax(np.rint(np.log2(first / 3.0)) + 1.0, 2.0)
+            gap = (first - self.center_coordinate(k)) ** 2
+            inside = gap + np.sum(x[..., 1:] * x[..., 1:], axis=-1) <= 1.0
+        out = np.where(inside, self.c_norm * 2.0 ** (-self.r * k), 0.0)
+        return float(out) if out.ndim == 0 else out
 
     def sample(self, rng, n):
         k = rng.geometric(1.0 - 2.0 ** (-self.r), size=n) + 1
         offsets = _unit_ball_sample(rng, n, self.dim)
-        offsets[:, 0] += 3.0 * 2.0 ** (k.astype(float) - 1.0)
+        offsets[:, 0] += self.center_coordinate(k)
         return offsets
 
     def i_rho(self, rho):
@@ -741,7 +724,7 @@ class AnnulusBallCounterexample(DensityModel):
             return 0.0
         return self.c_norm * self._omega * 2.0 ** (-self.r * k)
 
-    def expect_of_intensity(self, h, tol=1e-8):
+    def expect_of_intensity(self, h, tol):
         # h takes every shell above the cutoff in one call; the series
         # must settle before the last of them
         decay = 2.0 ** (-self.r * np.arange(2, 503))

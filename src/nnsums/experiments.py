@@ -13,7 +13,7 @@ import json
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy.special import ndtr
@@ -53,7 +53,7 @@ _ESTIMATOR_KEYS = {
     **_MODEL,
     "j": ("int", 1),
     "alpha": ("float", None),
-    "n_grid": ("int_list", ()),
+    "n_grid": ("int_list", _REQUIRED),
     "replications": ("int", 1),
     "seed": ("int", 0),
     "q": ("int", 1),
@@ -83,11 +83,13 @@ class EstimatorConfig:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         grid = tuple(int(n) for n in self.n_grid)
         object.__setattr__(self, "n_grid", grid)
+        if not grid:
+            raise ConfigError("n_grid must not be empty")
         if any(n < 1 for n in grid):
             raise ConfigError("sample sizes must be positive")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError(f"n_grid must be strictly increasing, got {grid}")
-        if grid and grid[0] <= self.j:
+        if grid[0] <= self.j:
             raise ConfigError(
                 f"n_grid size n={grid[0]} holds at most j={self.j} points, so no point "
                 "has a j-th neighbour and the sum is always 0"
@@ -127,8 +129,17 @@ class DivergenceSchedule:
             raise ConfigError("schedule lengths differ")
         if any(b <= a for a, b in zip(self.k_grid, self.k_grid[1:])):
             raise ConfigError("k_grid must be strictly increasing")
-        if any(b < a for a, b in zip(self.n_of_k, self.n_of_k[1:])):
-            raise ConfigError("witness sizes must be nondecreasing in k")
+        shells = list(zip(self.k_grid, self.n_of_k))
+        clash = [
+            f"k={k} and k={k2} have n(k) = {n} and {n2}"
+            for (k, n), (k2, n2) in zip(shells, shells[1:])
+            if n2 <= n
+        ]
+        if clash:
+            raise ConfigError(
+                f"witness sizes must strictly increase in k, but shells {'; '.join(clash)}: "
+                "shells of one size would draw identical samples"
+            )
 
     @classmethod
     def from_model(cls, model: DensityModel, k_grid) -> "DivergenceSchedule":
@@ -268,18 +279,25 @@ class ExperimentResult:
             return "divergent"
         return self.target
 
+    def _header(self) -> dict:
+        """The six fields that open every CSV row and the JSON report."""
+        return {
+            "experiment": self.experiment,
+            "model": self.model_name,
+            "d": self.d,
+            "j": self.j,
+            "alpha": self.alpha,
+            "q": self.q,
+        }
+
     def csv_rows(self):
+        header = self._header()
         target = self._target_cell()
         numeric_target = isinstance(target, float)
         for rec in sorted(self.records, key=lambda r: (r.n, r.replication)):
             abs_error = abs(rec.value - target) if numeric_target else None
             yield {
-                "experiment": self.experiment,
-                "model": self.model_name,
-                "d": self.d,
-                "j": self.j,
-                "alpha": self.alpha,
-                "q": self.q,
+                **header,
                 "n": rec.n,
                 "replication": rec.replication,
                 "value": rec.value,
@@ -296,24 +314,11 @@ class ExperimentResult:
 
     def to_json_dict(self) -> dict:
         return {
-            "experiment": self.experiment,
-            "model": self.model_name,
-            "d": self.d,
-            "j": self.j,
-            "alpha": self.alpha,
-            "q": self.q,
+            **self._header(),
             "phi": self.phi,
             "target": self._target_cell(),
             "rows": list(self.csv_rows()),
-            "summaries": [
-                {
-                    "n": s.n,
-                    "mean": s.mean,
-                    "lq_error": s.lq_error,
-                    "std_error": s.std_error,
-                }
-                for s in self.summaries
-            ],
+            "summaries": [asdict(s) for s in self.summaries],
             "trend": self.trend,
         }
 
@@ -383,24 +388,37 @@ def _std_error(values: np.ndarray) -> float:
     return se
 
 
-def _sweep(result, model, sizes, alpha, replications, seed, scale=1.0) -> None:
-    """Run every replication at each sample size into ``result``.
+def _sweep(experiment: str, config: EstimatorConfig, exponent, target, scale=1.0):
+    """Run every replication of ``config`` into a new :class:`ExperimentResult`.
 
-    Each value is the power sum with exponent ``alpha`` and rank
-    ``result.j``, divided by scale * n. ``result`` gains one record per
-    (n, replication) and one summary per n, whose L^q error is taken
-    against ``result.target`` when that is a finite float.
+    Each value is the power sum with exponent ``exponent`` and rank
+    ``config.j``, divided by scale * n. The result is labelled
+    ``experiment`` and carries ``config``'s model, j, alpha and q, one
+    record per (n, replication) and one summary per n, whose L^q error is
+    taken against ``target`` when that is a finite float; its trend is left
+    empty for the caller.
     """
-    for n in sizes:
+    model = config.model
+    result = ExperimentResult(
+        experiment=experiment,
+        model_name=model.name,
+        d=model.dim,
+        j=config.j,
+        alpha=config.alpha,
+        q=config.q,
+        target=target,
+    )
+    for n in config.n_grid:
         vals = np.array(
             [
-                _replicate_value(model, n, result.j, alpha, seed, rep) / (scale * n)
-                for rep in range(replications)
+                _replicate_value(model, n, config.j, exponent, config.seed, rep) / (scale * n)
+                for rep in range(config.replications)
             ]
         )
         for rep, v in enumerate(vals):
             result.records.append(RunRecord(n=n, replication=rep, value=float(v)))
-        result.summaries.append(_summarize(vals, n, result.target, result.q))
+        result.summaries.append(_summarize(vals, n, target, config.q))
+    return result
 
 
 def _increasing_trend(trend: dict, means: list) -> None:
@@ -418,8 +436,6 @@ def run_convergence(config: EstimatorConfig, force: bool = False) -> ExperimentR
     gamma^{-1} n^{-1} S_{n,alpha}; its target is the integral itself.
     """
     alpha = config.require_alpha()
-    if not config.n_grid:
-        raise ConfigError("n_grid must not be empty")
     model = config.model
     report = condition_report(model, alpha, config.q)
     if not report.convergence_granted() and not force:
@@ -430,17 +446,8 @@ def run_convergence(config: EstimatorConfig, force: bool = False) -> ExperimentR
         )
     d = model.dim
     gam = gamma_constant(d, config.j, alpha)
-    target = model.i_rho(1.0 - alpha / d)
-    result = ExperimentResult(
-        experiment="converge",
-        model_name=model.name,
-        d=d,
-        j=config.j,
-        alpha=alpha,
-        q=config.q,
-        target=float(target),
-    )
-    _sweep(result, model, config.n_grid, alpha, config.replications, config.seed, scale=gam)
+    target = float(model.i_rho(1.0 - alpha / d))
+    result = _sweep("converge", config, alpha, target, scale=gam)
     errors = [s.lq_error for s in result.summaries if s.lq_error is not None]
     if len(errors) >= 2:
         mk = mann_kendall_increasing([-e for e in errors])
@@ -466,10 +473,10 @@ def run_divergence(
     For each shell index k the sample size is n(k) = ceil(1 / F(A_k));
     the result carries the per-k means, a Mann-Kendall increasing-trend
     test, the last/first ratio, and the analytic lower-bound proxy
-    F(A_k)^(1-alpha/d) * 2^(k*alpha) for comparison.
+    F(A_k)^(1-alpha/d) * 2^(k*alpha) for comparison. The schedule runs as
+    the :class:`EstimatorConfig` with n_grid = n(k) and q = 1, which checks
+    ``replications``, ``seed`` and ``j``.
     """
-    if replications < 1:
-        raise ConfigError(f"replications must be >= 1, got {replications}")
     k_grid = tuple(k_grid)
     if not k_grid:
         raise ConfigError("k_grid must not be empty")
@@ -486,19 +493,13 @@ def run_divergence(
             f"shell(s) {shells} hold at most j={j} points, so no point has a "
             "j-th neighbour and the sum is always 0"
         )
-    d = model.dim
-    result = ExperimentResult(
-        experiment="diverge",
-        model_name=model.name,
-        d=d,
-        j=j,
-        alpha=alpha,
-        q=1,
-        target="divergent",
+    config = EstimatorConfig(
+        model, j=j, alpha=alpha, n_grid=schedule.n_of_k, replications=replications, seed=seed
     )
-    _sweep(result, model, schedule.n_of_k, alpha, replications, seed)
+    result = _sweep("diverge", config, alpha, "divergent")
     means = [s.mean for s in result.summaries]
-    trend: dict = {
+    d = model.dim
+    result.trend = {
         "k_grid": list(schedule.k_grid),
         "n_of_k": list(schedule.n_of_k),
         "means": means,
@@ -507,10 +508,9 @@ def run_divergence(
             for k in schedule.k_grid
         ],
     }
-    _increasing_trend(trend, means)
+    _increasing_trend(result.trend, means)
     if len(means) >= 2:
-        trend["last_over_first"] = means[-1] / means[0] if means[0] else math.inf
-    result.trend = trend
+        result.trend["last_over_first"] = means[-1] / means[0] if means[0] else math.inf
     return schedule, result
 
 
@@ -572,24 +572,11 @@ def run_moment_probe(config: EstimatorConfig, p: float) -> ExperimentResult:
     diagnostic, so no condition gate applies.
     """
     alpha = config.require_alpha()
-    if not config.n_grid:
-        raise ConfigError("n_grid must not be empty")
     if not math.isfinite(p):
         raise ConfigError(f"p must be finite, got {p}")
-    model = config.model
     exponent = alpha * p
-    result = ExperimentResult(
-        experiment="probe",
-        model_name=model.name,
-        d=model.dim,
-        j=config.j,
-        alpha=alpha,
-        q=config.q,
-        target=None,
-        trend={"p": p, "exponent": exponent},
-    )
-    _sweep(result, model, config.n_grid, exponent, config.replications, config.seed)
+    result = _sweep("probe", config, exponent, None)
     means = [s.mean for s in result.summaries]
-    result.trend["means"] = means
+    result.trend = {"p": p, "exponent": exponent, "means": means}
     _increasing_trend(result.trend, means)
     return result

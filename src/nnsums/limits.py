@@ -46,7 +46,7 @@ def unit_ball_volume(d: int) -> float:
     if d <= 340:
         return math.pi ** (d / 2) / math.gamma(1 + d / 2)
     # Gamma overflows past ~170; fall back to log space.
-    return math.exp(0.5 * d * math.log(math.pi) - math.lgamma(1 + d / 2))
+    return math.exp(_log_unit_ball_volume(d))
 
 
 def _log_unit_ball_volume(d: int) -> float:

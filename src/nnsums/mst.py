@@ -107,11 +107,8 @@ def _delaunay_mst(coords: np.ndarray) -> tuple | None:
     src = np.repeat(np.arange(n), np.diff(indptr))
     keep = src < nbrs
     i, j = src[keep], nbrs[keep]
-    # the same accumulation as _sq_dists_to, so each length rounds as in Prim
-    sq = np.zeros(len(i))
-    for c in range(d):
-        t = coords[i, c] - coords[j, c]
-        sq += t * t
+    # the accumulation of Prim's rows, so each length rounds as in Prim
+    sq = _sq_dists_to(coords[i], coords[j].T)
     if sq.min() <= _MIN_SEPARATION**2 * sq.max():
         return None
     # distinct ranks 1..m make the tree unique under the order (len^2, i, j)

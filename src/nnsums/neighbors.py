@@ -32,10 +32,6 @@ from scipy.spatial import cKDTree
 from .errors import DegenerateStatistic
 from .points import PointSet
 
-# kd-tree: median split on the widest-spread coordinate, leaf size 16.
-_LEAF_SIZE = 16
-
-
 @dataclass(frozen=True)
 class NeighborQuery:
     """Which neighbor rank (j) of which point of the set to measure."""
@@ -52,7 +48,8 @@ class NeighborQuery:
 
 def _sq_dists_to(points: np.ndarray, q: np.ndarray) -> np.ndarray:
     # Coordinate-by-coordinate accumulation; matches the kd-tree's distance
-    # kernel op for op so the oracle and the tree round identically.
+    # kernel op for op so the oracle and the tree round identically. q is
+    # one point, or one column of coordinates per row of points.
     acc = np.zeros(points.shape[0])
     for c in range(points.shape[1]):
         t = points[:, c] - q[c]
@@ -86,11 +83,8 @@ class NeighborIndex:
 
     def __init__(self, xs: PointSet):
         self._xs = xs
-        self._tree = (
-            cKDTree(xs.coords, leafsize=_LEAF_SIZE, balanced_tree=True, compact_nodes=True)
-            if len(xs)
-            else None
-        )
+        # scipy's defaults: leaf size 16, median splits, compact nodes
+        self._tree = cKDTree(xs.coords) if len(xs) else None
 
     @property
     def points(self) -> PointSet:
@@ -156,7 +150,8 @@ def _weighted_sum(xs: PointSet, j: int, weight, scale: bool) -> float:
     maps the array of distances to an array of summands. The sum is 0 when
     the set has at most j points. A non-finite summand (a negative power of
     a tied point's zero distance, say) or a non-finite total raises
-    :class:`DegenerateStatistic`.
+    :class:`DegenerateStatistic`, whose message names the distances that
+    overflowed to inf when there are any.
     """
     n = len(xs)
     if n <= j:
@@ -170,6 +165,11 @@ def _weighted_sum(xs: PointSet, j: int, weight, scale: bool) -> float:
     # a finite total has only finite summands, so count them only otherwise
     if math.isfinite(total):
         return total
+    far = int(np.count_nonzero(np.isinf(dists)))
+    if far:
+        raise DegenerateStatistic(
+            f"{far} of {n} neighbour distances overflowed to inf (points too far apart)"
+        )
     bad = int(np.count_nonzero(~np.isfinite(vals)))
     if bad:
         raise DegenerateStatistic(

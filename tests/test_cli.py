@@ -384,6 +384,14 @@ _REFUSED = {
         {"k_grid": None, "k_min": 5, "k_max": 3},
         "'k_min' (5) must not exceed 'k_max' (3)",
     ),
+    "converge-n_grid-missing": ("converge", {"n_grid": None}, "configuration needs key 'n_grid'"),
+    "entropy-n_grid-missing": ("entropy", {"n_grid": None}, "configuration needs key 'n_grid'"),
+    "probe-n_grid-missing": ("probe", {"n_grid": None}, "configuration needs key 'n_grid'"),
+    "diverge-shells-sharing-a-size": (
+        "diverge",
+        {"model": "power_law", "beta": 2.5, "r": None, "alpha": 1.0, "k_grid": [1, 2, 3]},
+        "k=1 and k=2 have n(k) = 7 and 7",
+    ),
     "converge-j-at-least-n": ("converge", {"j": 20}, "n=20 holds at most j=20"),
     "probe-j-at-least-n": ("probe", {"j": 25}, "n=20 holds at most j=25"),
     "limit-j-zero": ("limit", {"j": 0}, "rank j must be >= 1"),

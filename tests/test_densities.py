@@ -247,6 +247,16 @@ def test_counterexample_pdf_on_and_off_balls(catalog):
     assert c.sup_pdf == pytest.approx(c.pdf(inside_b2), rel=1e-12)
 
 
+def test_pdf_of_one_point_is_a_float_and_of_rows_an_array(catalog):
+    rows = np.array([[6.0, 0.5], [12.0, 0.0], [0.5, 0.5], [-3.0, 2.0]])
+    for name, model in catalog.items():
+        one = model.pdf(rows[0])
+        assert type(one) is float, name
+        many = model.pdf(rows)
+        assert isinstance(many, np.ndarray) and many.shape == (4,), name
+        assert many[0] == one, name
+
+
 def test_counterexample_balls_sit_inside_annuli():
     c = AnnulusBallCounterexample(3, 0.7)
     for k in range(2, 12):

@@ -14,6 +14,7 @@ from nnsums import (
     EstimatorConfig,
     GaussianStandard,
     InvalidRho,
+    PowerLawTail,
     UniformConvexUnion,
     mann_kendall_increasing,
     run_convergence,
@@ -95,6 +96,16 @@ def test_config_from_dict_rejects_unknown_keys():
         {"model": "power_law", "d": 2, "beta": 6.0, "alpha": 1.0, "n_grid": [10]}
     )
     assert cfg.model.beta == 6.0
+
+
+def test_config_needs_a_nonempty_n_grid():
+    with pytest.raises(ConfigError, match="configuration needs key 'n_grid'"):
+        EstimatorConfig.from_dict({"model": "gaussian", "d": 2, "alpha": 1.0})
+    for grid in ((), []):
+        with pytest.raises(ConfigError, match="n_grid must not be empty"):
+            EstimatorConfig(model=GaussianStandard(2), alpha=1.0, n_grid=grid)
+    with pytest.raises(ConfigError, match="n_grid must not be empty"):
+        EstimatorConfig(model=GaussianStandard(2), alpha=1.0)
 
 
 def test_config_from_dict_reads_json_integers_as_floats():
@@ -307,6 +318,16 @@ def test_divergence_schedule_validation():
         DivergenceSchedule(k_grid=(3, 2), n_of_k=(2, 4))
     with pytest.raises(ConfigError, match="no mass"):
         DivergenceSchedule.from_model(CX, [0, 1])
+
+
+def test_divergence_schedule_refuses_shells_sharing_a_size():
+    # same-size shells draw the same (seed, n, rep) streams: identical samples
+    with pytest.raises(ConfigError, match=r"k=1 and k=2 have n\(k\) = 7 and 7"):
+        DivergenceSchedule(k_grid=(1, 2, 3), n_of_k=(7, 7, 9))
+    model = PowerLawTail(2, 2.5)
+    assert [math.ceil(1.0 / model.annulus_mass(k)) for k in (1, 2, 3)] == [7, 7, 9]
+    with pytest.raises(ConfigError, match=r"k=1 and k=2 have n\(k\) = 7 and 7"):
+        run_divergence(model, 1.0, [1, 2, 3], 2, 0)
 
 
 def test_divergence_run_small():

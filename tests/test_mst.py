@@ -248,6 +248,12 @@ def test_l_power_nn_ties_negative_power_raises_without_warning():
         assert l_power_nn(ties, 0.0) == 3.0
 
 
+def test_l_power_nn_names_overflowed_distances():
+    xs = PointSet([[0.0], [1e200], [3e200]])
+    with pytest.raises(DegenerateStatistic, match="3 of 3 neighbour distances overflowed"):
+        l_power_nn(xs, 1.0)
+
+
 def test_growth_bound():
     # L^b <= C * diam^b * n^{(d-b)/d} with C = 2 for d=2, j=1, b=1;
     # the worst ratio seen over this battery is about 0.70

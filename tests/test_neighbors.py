@@ -244,6 +244,13 @@ def test_power_sum_overflow_raises():
         statistic_phi(xs, 1, lambda t: np.full_like(t, 1e308))
 
 
+def test_overflowed_distances_are_named_not_blamed_on_ties():
+    # squared separations of 1e400 overflow, so every distance is +inf
+    xs = PointSet([[0.0], [1e200], [3e200]])
+    with pytest.raises(DegenerateStatistic, match="3 of 3 neighbour distances overflowed"):
+        statistic_power(xs, 1, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # symmetry properties
 

@@ -7,7 +7,10 @@ name that joins ``__all__`` without being added to the list below.
 """
 
 import ast
+import importlib
+import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import nnsums
@@ -91,3 +94,18 @@ def test_benchmark_workload_calls_are_public():
     called = set(re.findall(r"\bnn\.([A-Za-z_]\w*)", text))
     assert called
     assert called <= set(nnsums.__all__), sorted(called - set(nnsums.__all__))
+
+
+def test_every_traced_benchmark_boundary_resolves(monkeypatch):
+    # load benchmarks/spans.py by path and look up each boundary as its
+    # tracer would, without wrapping anything
+    spec = importlib.util.spec_from_file_location("_bench_spans", ROOT / "benchmarks" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    assert spans.BOUNDARIES
+    for b in spans.BOUNDARIES:
+        target = importlib.import_module(b.module)
+        if b.owner is not None:
+            target = getattr(target, b.owner)
+        assert callable(getattr(target, b.attr)), (b.module, b.owner, b.attr)
