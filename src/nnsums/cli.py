@@ -149,7 +149,7 @@ def _cmd_converge(args) -> int:
     result = run_convergence(config, force=args.force)
     print(
         f"converge: {result.model_name} d={result.d} j={result.j} "
-        f"alpha={result.alpha} q={result.q} target={result.target!r}"
+        f"alpha={result.alpha} q={result.q} target={result._target_cell()}"
     )
     _print_summaries(result)
     if result.trend:

@@ -688,10 +688,13 @@ class AnnulusBallCounterexample(DensityModel):
         x = np.asarray(x, dtype=float)
         first = x[..., 0]
         # a point of B_k has |x_1 - 3 * 2^(k-1)| <= 1, so log2(x_1 / 3) is
-        # within 0.27 of k - 1; past the last finite center f is 0
+        # within 0.27 of k - 1; past the last finite center f is 0. A sample
+        # rounds center + offset, which moves x_1 by up to half its spacing
+        # (0.5 from 2^52 on), so that much of the gap is forgiven.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             k = np.fmax(np.rint(np.log2(first / 3.0)) + 1.0, 2.0)
-            gap = (first - self.center_coordinate(k)) ** 2
+            slack = 0.5 * np.spacing(np.abs(first))
+            gap = np.maximum(np.abs(first - self.center_coordinate(k)) - slack, 0.0) ** 2
             inside = gap + np.sum(x[..., 1:] * x[..., 1:], axis=-1) <= 1.0
         out = np.where(inside, self.c_norm * 2.0 ** (-self.r * k), 0.0)
         return float(out) if out.ndim == 0 else out

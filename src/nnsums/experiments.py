@@ -4,6 +4,32 @@ moment-probe runs with reproducible seeds and CSV/JSON reporting.
 Replication streams are derived from (seed, n, replication, attempt)
 through a SeedSequence, so results do not depend on execution order and
 identical configurations reproduce byte-identical reports.
+
+Small sizes are evaluated in stacks. A kd-tree build and a query each
+cost tens of microseconds before they touch a point, which is most of a
+replication's time at small n. So a level of n <= 64 points in d <= 3
+dimensions draws each replication from its own stream and then places up
+to 1024 // n of them in one point set of dimension d + 1. Replication i
+of a stack gets the last coordinate i * gap, with gap = 2 * (sum over
+coordinates of the stack's span) + 1. That is larger than any distance
+within a replication, so a point's j + 1 nearest points (itself
+included) all lie in its own replication, n > j being given. Within a
+replication the last coordinates differ by an exact 0, and the tree's
+distance kernel sums the squared differences of at most four coordinates
+in coordinate order, so each squared distance is the same sum with + 0
+at the end: bitwise the value a tree over that replication alone
+computes. Each row of distances then goes through the reduction that
+:func:`nnsums.neighbors.statistic_power` uses, so every sum is bitwise
+the unstacked one. A row whose total is not finite is resampled one
+replication at a time from attempt 1, exactly as an unstacked
+replication would be.
+
+Past n = 64 the gain fades, and at n = 256 a stack measured slower than
+one tree per replication (``BENCH_stacked_levels.json`` at the repository
+root has the table), so larger levels build one tree per replication. So
+does d >= 4: from eight coordinates on, the kernel sums in four lanes, and
+where d + 1 is a multiple of four (d = 7, 11, ...) the extra zero joins a
+lane and the stacked sums differ in their last bits.
 """
 
 from __future__ import annotations
@@ -18,6 +44,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 from scipy.special import ndtr
 
+from . import neighbors
 from .conditions import check_divergence, condition_report
 from .densities import _MODEL, _REQUIRED, DensityModel, _read_config
 from .errors import ConditionRefused, ConfigError, DegenerateStatistic
@@ -46,6 +73,12 @@ def resolve_phi(name: str):
 
 
 _MAX_RESAMPLES = 5
+
+# Replications of at most _STACK_MAX_N points in at most _STACK_MAX_DIM
+# dimensions are stacked _STACK_POINTS // n to a kd-tree (see _sweep).
+_STACK_MAX_N = 64
+_STACK_MAX_DIM = 3
+_STACK_POINTS = 1024
 
 
 #: The keys :meth:`EstimatorConfig.from_dict` reads, besides the model's.
@@ -348,12 +381,18 @@ class ExperimentResult:
         raise KeyError(n)
 
 
-def _replicate_value(model, n, j, alpha, seed, rep) -> float:
-    """One replication of the power sum, resampling degenerate draws."""
+def _stream(seed, n, rep, attempt) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence((seed, n, rep, attempt)))
+
+
+def _replicate_value(model, n, j, alpha, seed, rep, first=0) -> float:
+    """One replication of the power sum, resampling degenerate draws.
+
+    Starts at attempt ``first``; the attempts before it count as degenerate.
+    """
     last = None
-    for attempt in range(_MAX_RESAMPLES + 1):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, n, rep, attempt)))
-        xs = PointSet(model.sample(rng, n))
+    for attempt in range(first, _MAX_RESAMPLES + 1):
+        xs = PointSet(model.sample(_stream(seed, n, rep, attempt), n))
         try:
             return statistic_power(xs, j, alpha)
         except DegenerateStatistic as exc:
@@ -361,6 +400,40 @@ def _replicate_value(model, n, j, alpha, seed, rep) -> float:
     raise DegenerateStatistic(
         f"{_MAX_RESAMPLES} resamples in a row degenerate at n={n}: {last}"
     )
+
+
+def _stack_values(model, n, j, alpha, seed, reps) -> list:
+    """The power sums of replications ``reps`` of size n from one kd-tree,
+    bitwise those of :func:`_replicate_value` (module docstring)."""
+    s, d = len(reps), model.dim
+    coords = np.empty((s, n, d + 1))
+    for i, rep in enumerate(reps):
+        coords[i, :, :d] = model.sample(_stream(seed, n, rep, 0), n)
+    draws = coords[..., :d]
+    gap = 2.0 * float((draws.max(axis=(0, 1)) - draws.min(axis=(0, 1))).sum()) + 1.0
+    if not math.isfinite(gap * (s - 1)):
+        return [_replicate_value(model, n, j, alpha, seed, rep) for rep in reps]
+    coords[..., d] = (np.arange(s) * gap)[:, None]
+    xs = PointSet(coords.reshape(s * n, d + 1))
+    dists = neighbors.knn_distances(xs, j).reshape(s, n)
+    alpha = float(alpha)
+    totals = neighbors._row_sums(float(n) ** (1.0 / d) * dists, lambda t: t**alpha)
+    return [
+        total if math.isfinite(total) else _replicate_value(model, n, j, alpha, seed, rep, first=1)
+        for rep, total in zip(reps, totals.tolist())
+    ]
+
+
+def _level_values(model, n, j, alpha, seed, replications) -> list:
+    """The power sums of replications 0, 1, ... of size n, in order."""
+    if not (j < n <= _STACK_MAX_N and model.dim <= _STACK_MAX_DIM):
+        return [_replicate_value(model, n, j, alpha, seed, rep) for rep in range(replications)]
+    size = _STACK_POINTS // n
+    values = []
+    for first in range(0, replications, size):
+        reps = range(first, min(first + size, replications))
+        values += _stack_values(model, n, j, alpha, seed, reps)
+    return values
 
 
 def _summarize(values: np.ndarray, n: int, target, q: int) -> SizeSummary:
@@ -397,6 +470,12 @@ def _sweep(experiment: str, config: EstimatorConfig, exponent, target, scale=1.0
     record per (n, replication) and one summary per n, whose L^q error is
     taken against ``target`` when that is a finite float; its trend is left
     empty for the caller.
+
+    Levels with j < n <= 64 in d <= 3 evaluate their replications in
+    stacks of 1024 // n, one kd-tree build and one query per stack, with
+    sums bitwise equal to one tree per replication (module docstring);
+    every other level, and a stack whose coordinates are too large to
+    offset by a finite gap, builds one tree per replication.
     """
     model = config.model
     result = ExperimentResult(
@@ -409,12 +488,8 @@ def _sweep(experiment: str, config: EstimatorConfig, exponent, target, scale=1.0
         target=target,
     )
     for n in config.n_grid:
-        vals = np.array(
-            [
-                _replicate_value(model, n, config.j, exponent, config.seed, rep) / (scale * n)
-                for rep in range(config.replications)
-            ]
-        )
+        raw = _level_values(model, n, config.j, exponent, config.seed, config.replications)
+        vals = np.array([v / (scale * n) for v in raw])
         for rep, v in enumerate(vals):
             result.records.append(RunRecord(n=n, replication=rep, value=float(v)))
         result.summaries.append(_summarize(vals, n, target, config.q))

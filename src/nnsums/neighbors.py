@@ -18,7 +18,10 @@ sample order.
 The central statistic is the sum over the sample of (n^{1/d} D_j)^alpha,
 where D_j is the distance from a point to its j-th nearest other point;
 D_j is defined as 0 when the set has at most j points. It and its
-phi-weighted form share one reduction, :func:`_weighted_sum`.
+phi-weighted form share one reduction, :func:`_row_sums`, which sums an
+(s, n) array of distances row by row; a single sample is its one-row case,
+and the Monte Carlo sweep passes one row per replication of a stack
+(see :mod:`nnsums.experiments`).
 """
 
 from __future__ import annotations
@@ -47,11 +50,23 @@ class NeighborQuery:
 
 
 def _sq_dists_to(points: np.ndarray, q: np.ndarray) -> np.ndarray:
-    # Coordinate-by-coordinate accumulation; matches the kd-tree's distance
-    # kernel op for op so the oracle and the tree round identically. q is
-    # one point, or one column of coordinates per row of points.
+    # Matches the kd-tree's distance kernel op for op so the oracle and the
+    # tree round identically: the kernel sums the squares of the first
+    # 4 * (d // 4) coordinate differences in four lanes, coordinate c into
+    # lane c % 4, adds the lanes as ((l0 + l1) + l2) + l3, and then adds the
+    # remaining coordinates one by one. Below d = 4 that is a plain sum in
+    # coordinate order. q is one point, or one column of coordinates per
+    # row of points.
+    d = points.shape[1]
+    wide = d - d % 4
     acc = np.zeros(points.shape[0])
-    for c in range(points.shape[1]):
+    if wide:
+        lanes = [np.zeros_like(acc) for _ in range(4)]
+        for c in range(wide):
+            t = points[:, c] - q[c]
+            lanes[c % 4] += t * t
+        acc = lanes[0] + lanes[1] + lanes[2] + lanes[3]
+    for c in range(wide, d):
         t = points[:, c] - q[c]
         acc += t * t
     return acc
@@ -143,15 +158,31 @@ def knn_distances(xs: PointSet, j: int) -> np.ndarray:
     return NeighborIndex(xs).knn_distances(j)
 
 
+def _row_sums(dists: np.ndarray, weight) -> np.ndarray:
+    """Sum of weight(t) along each row of an (s, n) array of distances t.
+
+    ``weight`` maps the array of distances to an array of summands. A row
+    that holds an inf distance sums to NaN whatever the weight, since a
+    negative power would turn those distances into zero summands and the
+    row into a finite, wrong total. A row with a non-finite summand, or
+    whose finite summands overflow, is left non-finite too, so a
+    non-finite total marks every degenerate row.
+    """
+    with np.errstate(all="ignore"):
+        totals = weight(dists).sum(axis=1)
+    totals[np.isinf(dists).any(axis=1)] = np.nan
+    return totals
+
+
 def _weighted_sum(xs: PointSet, j: int, weight, scale: bool) -> float:
     """Sum of weight(t) over the j-th neighbor distances t of the sample.
 
-    With ``scale`` each distance is first multiplied by n^{1/d}. ``weight``
-    maps the array of distances to an array of summands. The sum is 0 when
-    the set has at most j points. A non-finite summand (a negative power of
-    a tied point's zero distance, say) or a non-finite total raises
-    :class:`DegenerateStatistic`, whose message names the distances that
-    overflowed to inf when there are any.
+    The one-row case of :func:`_row_sums`. With ``scale`` each distance is
+    first multiplied by n^{1/d}. The sum is 0 when the set has at most j
+    points. A distance that overflowed to inf, a non-finite summand (a
+    negative power of a tied point's zero distance, say) or a non-finite
+    total raises :class:`DegenerateStatistic`, whose message names the
+    cause.
     """
     n = len(xs)
     if n <= j:
@@ -159,10 +190,7 @@ def _weighted_sum(xs: PointSet, j: int, weight, scale: bool) -> float:
     dists = knn_distances(xs, j)
     if scale:
         dists = float(n) ** (1.0 / xs.dim) * dists
-    with np.errstate(all="ignore"):
-        vals = weight(dists)
-        total = float(vals.sum())
-    # a finite total has only finite summands, so count them only otherwise
+    total = float(_row_sums(dists[None, :], weight)[0])
     if math.isfinite(total):
         return total
     far = int(np.count_nonzero(np.isinf(dists)))
@@ -170,7 +198,8 @@ def _weighted_sum(xs: PointSet, j: int, weight, scale: bool) -> float:
         raise DegenerateStatistic(
             f"{far} of {n} neighbour distances overflowed to inf (points too far apart)"
         )
-    bad = int(np.count_nonzero(~np.isfinite(vals)))
+    with np.errstate(all="ignore"):
+        bad = int(np.count_nonzero(~np.isfinite(weight(dists))))
     if bad:
         raise DegenerateStatistic(
             f"{bad} of {n} summands not finite (tied points under a negative power?)"

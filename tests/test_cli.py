@@ -86,6 +86,17 @@ def test_converge_refused_then_forced(tmp_path, capsys):
     assert main(["converge", "--config", cfg, "--force"]) == 0
 
 
+def test_forced_converge_prints_the_divergent_target_as_the_report_does(tmp_path, capsys):
+    # alpha > d: the integral of f^(1 - alpha/d) is infinite
+    payload = {"model": "gaussian", "d": 2, "alpha": 2.5, "n_grid": [20], "replications": 2}
+    cfg = _write_config(tmp_path, "g.json", payload)
+    out = tmp_path / "forced.json"
+    assert main(["converge", "--config", cfg, "--force", "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert "target=divergent" in stdout and "target=inf" not in stdout
+    assert json.loads(out.read_text())["target"] == "divergent"
+
+
 def test_diverge_run(tmp_path, capsys):
     payload = {
         "model": "counterexample",

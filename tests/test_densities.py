@@ -247,6 +247,20 @@ def test_counterexample_pdf_on_and_off_balls(catalog):
     assert c.sup_pdf == pytest.approx(c.pdf(inside_b2), rel=1e-12)
 
 
+def test_counterexample_pdf_is_positive_on_its_own_samples():
+    # past 2^50, rounding center + offset moves x_1 by up to half a spacing
+    c = AnnulusBallCounterexample(3, 0.06)
+    xs = c.sample(np.random.default_rng(1), 10_000)
+    assert xs[:, 0].max() > 2.0**52
+    assert (c.pdf(xs) > 0).all()
+    # B_52 is centered at 3 * 2^51, where floats are 1 apart: half of that
+    # is forgiven, so x_1 = center + 1 is inside and center + 2 is not
+    center = c.center_coordinate(52)
+    assert np.spacing(center) == 1.0
+    assert c.pdf([center + 1.0, 0.5, 0.0]) > 0.0
+    assert c.pdf([center + 2.0, 0.0, 0.0]) == 0.0
+
+
 def test_pdf_of_one_point_is_a_float_and_of_rows_an_array(catalog):
     rows = np.array([[6.0, 0.5], [12.0, 0.0], [0.5, 0.5], [-3.0, 2.0]])
     for name, model in catalog.items():

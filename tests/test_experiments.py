@@ -10,10 +10,12 @@ from nnsums import (
     AnnulusBallCounterexample,
     ConditionRefused,
     ConfigError,
+    DegenerateStatistic,
     DivergenceSchedule,
     EstimatorConfig,
     GaussianStandard,
     InvalidRho,
+    PointSet,
     PowerLawTail,
     UniformConvexUnion,
     mann_kendall_increasing,
@@ -21,7 +23,9 @@ from nnsums import (
     run_divergence,
     run_entropy,
     run_moment_probe,
+    statistic_power,
 )
+from nnsums import experiments, neighbors
 
 UNIFORM = UniformConvexUnion.unit_cube(2)
 CX = AnnulusBallCounterexample(2, 1.0)
@@ -438,3 +442,138 @@ def test_probe_bounded_under_safe_conditions():
     result = run_moment_probe(_config(n_grid=(100, 400, 1600), replications=4), p=3.0)
     means = result.trend["means"]
     assert max(means) < 10.0 * min(means)
+
+
+# ---------------------------------------------------------------------------
+# stacked replications: one kd-tree per stack, bitwise the per-replication sums
+
+
+def _stream(seed, n, rep, attempt):
+    return np.random.default_rng(np.random.SeedSequence((seed, n, rep, attempt)))
+
+
+def _one_tree_each(model, n, j, alpha, seed, replications):
+    """Every replication's power sum / n from its own PointSet and tree,
+    resampling degenerate draws as the sweep does."""
+    values = []
+    for rep in range(replications):
+        for attempt in range(experiments._MAX_RESAMPLES + 1):
+            xs = PointSet(model.sample(_stream(seed, n, rep, attempt), n))
+            try:
+                values.append(statistic_power(xs, j, alpha) / n)
+                break
+            except DegenerateStatistic:
+                continue
+    return values
+
+
+def _probe_values(model, n, j, alpha, seed, replications):
+    config = EstimatorConfig(
+        model, j=j, alpha=alpha, n_grid=(n,), replications=replications, seed=seed
+    )
+    return [rec.value for rec in run_moment_probe(config, 1.0).records]
+
+
+@pytest.fixture
+def tree_counts(monkeypatch):
+    """Counts the sweep's per-replication statistic_power calls and the
+    stacked knn_distances calls (point sets of one extra dimension)."""
+    counts = Counter()
+    power = experiments.statistic_power
+    knn = neighbors.knn_distances
+
+    def counted_power(xs, j, alpha):
+        counts["per_replication"] += 1
+        return power(xs, j, alpha)
+
+    def counted_knn(xs, j):
+        counts[f"knn_dim_{xs.dim}"] += 1
+        return knn(xs, j)
+
+    monkeypatch.setattr(experiments, "statistic_power", counted_power)
+    monkeypatch.setattr(neighbors, "knn_distances", counted_knn)
+    return counts
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_stacked_levels_equal_one_tree_per_replication(d, tree_counts):
+    model = GaussianStandard(d)
+    replications = 70  # two stacks at n = 17, five at n = 64
+    for n, j in itertools.product((2, 3, 17, 64), (1, 2, 5)):
+        if n <= j:
+            continue
+        for alpha in (1.5, -0.7):
+            tree_counts.clear()
+            got = _probe_values(model, n, j, alpha, 5, replications)
+            stacked = tree_counts[f"knn_dim_{d + 1}"]
+            per_replication = tree_counts["per_replication"]
+            assert got == _one_tree_each(model, n, j, alpha, 5, replications), (n, j, alpha)
+            if d <= 3:
+                assert (stacked, per_replication) == (-(-replications // (1024 // n)), 0)
+            else:
+                assert (stacked, per_replication) == (0, replications)
+
+
+def test_stacked_levels_stop_above_64_points(tree_counts):
+    got = _probe_values(CX, 65, 1, 1.5, 3, 20)
+    assert got == _one_tree_each(CX, 65, 1, 1.5, 3, 20)
+    assert tree_counts["knn_dim_3"] == 0 and tree_counts["per_replication"] == 20
+
+
+def test_degenerate_rows_of_a_stack_resample_from_attempt_one(monkeypatch, tree_counts):
+    model = UniformConvexUnion.unit_cube(2)
+    n, alpha, replications = 17, -1.0, 70
+    tied, far = {3, 41, 62}, {7}
+    draw = model.sample
+    calls = Counter()
+
+    def sample(rng, size):
+        _, _, rep, attempt = rng.bit_generator.seed_seq.entropy
+        calls[rep] += 1
+        pts = draw(rng, size)
+        if attempt == 0 and rep in tied:
+            pts[1] = pts[0]  # a zero distance under a negative power
+        if attempt == 0 and rep in far:
+            pts[:, 0] *= 1e200  # squared distances overflow to inf
+        return pts
+
+    monkeypatch.setattr(model, "sample", sample)
+    expected = _one_tree_each(model, n, 1, alpha, 9, replications)
+    calls.clear()
+    tree_counts.clear()
+    assert _probe_values(model, n, 1, alpha, 9, replications) == expected
+    assert all(v > 0 for v in expected)
+    assert tree_counts["knn_dim_3"] == 2
+    assert tree_counts["per_replication"] == len(tied | far)
+    assert {rep for rep, c in calls.items() if c == 2} == tied | far
+    assert sum(calls.values()) == replications + len(tied | far)
+
+
+def test_a_stack_degenerate_at_every_attempt_raises_the_per_replication_error(monkeypatch):
+    model = UniformConvexUnion.unit_cube(2)
+    monkeypatch.setattr(model, "sample", lambda rng, size: np.zeros((size, 2)))
+    with pytest.raises(DegenerateStatistic) as unstacked:
+        experiments._replicate_value(model, 8, 1, -1.0, 4, 0)
+    with pytest.raises(DegenerateStatistic) as stacked:
+        _probe_values(model, 8, 1, -1.0, 4, 10)
+    assert str(stacked.value) == str(unstacked.value)
+
+
+def test_a_stack_too_wide_for_a_finite_offset_runs_one_tree_per_replication(
+    monkeypatch, tree_counts
+):
+    # Odd replications sit, all points tied, at 1e307: the stack spans
+    # 1e307 per coordinate, so the gap (4e307) times 39 overflows.
+    model = UniformConvexUnion.unit_cube(2)
+    draw = model.sample
+
+    def sample(rng, size):
+        rep = rng.bit_generator.seed_seq.entropy[2]
+        return np.full((size, 2), 1e307) if rep % 2 else draw(rng, size)
+
+    monkeypatch.setattr(model, "sample", sample)
+    expected = _one_tree_each(model, 2, 1, 1.0, 6, 40)
+    tree_counts.clear()
+    assert _probe_values(model, 2, 1, 1.0, 6, 40) == expected
+    assert expected[1] == 0.0 and expected[0] > 0.0
+    assert tree_counts["knn_dim_3"] == 0 and tree_counts["per_replication"] == 40

@@ -252,6 +252,9 @@ def test_l_power_nn_names_overflowed_distances():
     xs = PointSet([[0.0], [1e200], [3e200]])
     with pytest.raises(DegenerateStatistic, match="3 of 3 neighbour distances overflowed"):
         l_power_nn(xs, 1.0)
+    # a negative power would turn the inf distances into a silent 0.0
+    with pytest.raises(DegenerateStatistic, match="3 of 3 neighbour distances overflowed"):
+        l_power_nn(xs, -1.0)
 
 
 def test_growth_bound():

@@ -89,7 +89,8 @@ def test_index_refuses_foreign_point_set():
         nn_distance_indexed(other, NeighborQuery(j=1, index=0), index)
 
 
-@pytest.mark.parametrize("d", [1, 2, 5])
+# d >= 8 checks the oracle's four-lane order of the kernel's sum
+@pytest.mark.parametrize("d", [1, 2, 5, 8, 9, 12])
 @pytest.mark.parametrize("n", [2, 3, 17, 100, 1024, 1025])
 def test_knn_distances_equal_bruteforce_with_duplicates(n, d):
     # duplicated points put exact zeros and ties in play
@@ -249,6 +250,15 @@ def test_overflowed_distances_are_named_not_blamed_on_ties():
     xs = PointSet([[0.0], [1e200], [3e200]])
     with pytest.raises(DegenerateStatistic, match="3 of 3 neighbour distances overflowed"):
         statistic_power(xs, 1, 1.0)
+
+
+def test_overflowed_distances_are_refused_under_a_negative_power():
+    # inf^(-1) is 0, so without the distance check the sum is a silent 0.0
+    xs = PointSet([[0.0], [1e200], [3e200]])
+    with pytest.raises(DegenerateStatistic, match="3 of 3 neighbour distances overflowed"):
+        statistic_power(xs, 1, -1.0)
+    with pytest.raises(DegenerateStatistic, match="3 of 3 neighbour distances overflowed"):
+        statistic_phi(xs, 1, lambda t: 1.0 / t)
 
 
 # ---------------------------------------------------------------------------
