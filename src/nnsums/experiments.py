@@ -7,7 +7,7 @@ identical configurations reproduce byte-identical reports.
 
 Small sizes are evaluated in stacks. A kd-tree build and a query each
 cost tens of microseconds before they touch a point, which is most of a
-replication's time at small n. So a level of n <= 64 points in d <= 3
+replication's time at small n. So a level of n <= 128 points in d <= 3
 dimensions draws each replication from its own stream and then places up
 to 1024 // n of them in one point set of dimension d + 1. Replication i
 of a stack gets the last coordinate i * gap, with gap = 2 * (sum over
@@ -18,18 +18,19 @@ replication the last coordinates differ by an exact 0, and the tree's
 distance kernel sums the squared differences of at most four coordinates
 in coordinate order, so each squared distance is the same sum with + 0
 at the end: bitwise the value a tree over that replication alone
-computes. Each row of distances then goes through the reduction that
-:func:`nnsums.neighbors.statistic_power` uses, so every sum is bitwise
-the unstacked one. A row whose total is not finite is resampled one
-replication at a time from attempt 1, exactly as an unstacked
-replication would be.
+computes. Each row of distances then goes through the power sum by rows
+of which :func:`nnsums.neighbors.statistic_power` is the one-row case, so
+every sum is bitwise the unstacked one. A row whose total is not finite
+is resampled one replication at a time from attempt 1, exactly as an
+unstacked replication would be.
 
-Past n = 64 the gain fades, and at n = 256 a stack measured slower than
-one tree per replication (``BENCH_stacked_levels.json`` at the repository
-root has the table), so larger levels build one tree per replication. So
-does d >= 4: from eight coordinates on, the kernel sums in four lanes, and
-where d + 1 is a multiple of four (d = 7, 11, ...) the extra zero joins a
-lane and the stacked sums differ in their last bits.
+The gain fades as n grows: a stack was 3-13% faster at n = 128 and 7-11%
+slower at n = 256 than one tree per replication
+(``BENCH_stacked_levels.json`` at the repository root has the table), so
+larger levels build one tree per replication. So does d >= 4: from eight
+coordinates on, the kernel sums in four lanes, and where d + 1 is a
+multiple of four (d = 7, 11, ...) the extra zero joins a lane and the
+stacked sums differ in their last bits.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ _MAX_RESAMPLES = 5
 
 # Replications of at most _STACK_MAX_N points in at most _STACK_MAX_DIM
 # dimensions are stacked _STACK_POINTS // n to a kd-tree (see _sweep).
-_STACK_MAX_N = 64
+_STACK_MAX_N = 128
 _STACK_MAX_DIM = 3
 _STACK_POINTS = 1024
 
@@ -416,8 +417,7 @@ def _stack_values(model, n, j, alpha, seed, reps) -> list:
     coords[..., d] = (np.arange(s) * gap)[:, None]
     xs = PointSet(coords.reshape(s * n, d + 1))
     dists = neighbors.knn_distances(xs, j).reshape(s, n)
-    alpha = float(alpha)
-    totals = neighbors._row_sums(float(n) ** (1.0 / d) * dists, lambda t: t**alpha)
+    totals = neighbors._power_row_sums(dists, d, alpha)
     return [
         total if math.isfinite(total) else _replicate_value(model, n, j, alpha, seed, rep, first=1)
         for rep, total in zip(reps, totals.tolist())
@@ -471,7 +471,7 @@ def _sweep(experiment: str, config: EstimatorConfig, exponent, target, scale=1.0
     taken against ``target`` when that is a finite float; its trend is left
     empty for the caller.
 
-    Levels with j < n <= 64 in d <= 3 evaluate their replications in
+    Levels with j < n <= 128 in d <= 3 evaluate their replications in
     stacks of 1024 // n, one kd-tree build and one query per stack, with
     sums bitwise equal to one tree per replication (module docstring);
     every other level, and a stack whose coordinates are too large to

@@ -19,9 +19,10 @@ The central statistic is the sum over the sample of (n^{1/d} D_j)^alpha,
 where D_j is the distance from a point to its j-th nearest other point;
 D_j is defined as 0 when the set has at most j points. It and its
 phi-weighted form share one reduction, :func:`_row_sums`, which sums an
-(s, n) array of distances row by row; a single sample is its one-row case,
-and the Monte Carlo sweep passes one row per replication of a stack
-(see :mod:`nnsums.experiments`).
+(s, n) array of distances row by row; a single sample is its one-row case.
+The Monte Carlo sweep passes one row per replication of a stack to
+:func:`_power_row_sums`, the power statistic by rows (see
+:mod:`nnsums.experiments`).
 """
 
 from __future__ import annotations
@@ -158,20 +159,44 @@ def knn_distances(xs: PointSet, j: int) -> np.ndarray:
     return NeighborIndex(xs).knn_distances(j)
 
 
-def _row_sums(dists: np.ndarray, weight) -> np.ndarray:
-    """Sum of weight(t) along each row of an (s, n) array of distances t.
+def _power(alpha: float):
+    """The summand t -> t**alpha of the power statistic, for a finite alpha."""
+    alpha = float(alpha)
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+    return lambda t: t**alpha
 
-    ``weight`` maps the array of distances to an array of summands. A row
-    that holds an inf distance sums to NaN whatever the weight, since a
-    negative power would turn those distances into zero summands and the
-    row into a finite, wrong total. A row with a non-finite summand, or
-    whose finite summands overflow, is left non-finite too, so a
-    non-finite total marks every degenerate row.
+
+def _scaled(dists: np.ndarray, d: int) -> np.ndarray:
+    """n^{1/d} t for every distance t, n being the length of the last axis."""
+    return float(dists.shape[-1]) ** (1.0 / d) * dists
+
+
+def _row_sums(dists: np.ndarray, weight) -> tuple:
+    """Sum of weight(t) along the last axis of an array of distances t.
+
+    Returns the totals and the summands. ``weight`` receives the array as
+    given, so a single sample (1-D) reaches it as a 1-D array. A row that
+    holds an inf distance sums to NaN whatever the weight, since a negative
+    power would turn those distances into zero summands and the row into a
+    finite, wrong total. A row with a non-finite summand, or whose finite
+    summands overflow, is left non-finite too, so a non-finite total marks
+    every degenerate row.
     """
     with np.errstate(all="ignore"):
-        totals = weight(dists).sum(axis=1)
-    totals[np.isinf(dists).any(axis=1)] = np.nan
-    return totals
+        vals = weight(dists)
+        totals = vals.sum(axis=-1)
+    return np.where(np.isinf(dists).any(axis=-1), np.nan, totals), vals
+
+
+def _power_row_sums(dists: np.ndarray, d: int, alpha: float) -> np.ndarray:
+    """The power statistic of each row of an (s, n) array of j-th neighbor
+    distances in d dimensions: the sum of (n^{1/d} t)^alpha along the row.
+
+    :func:`statistic_power` is the one-row case. A non-finite total marks a
+    degenerate row (see :func:`_row_sums`).
+    """
+    return _row_sums(_scaled(dists, d), _power(alpha))[0]
 
 
 def _weighted_sum(xs: PointSet, j: int, weight, scale: bool) -> float:
@@ -189,8 +214,9 @@ def _weighted_sum(xs: PointSet, j: int, weight, scale: bool) -> float:
         return 0.0
     dists = knn_distances(xs, j)
     if scale:
-        dists = float(n) ** (1.0 / xs.dim) * dists
-    total = float(_row_sums(dists[None, :], weight)[0])
+        dists = _scaled(dists, xs.dim)
+    total, vals = _row_sums(dists, weight)
+    total = float(total)
     if math.isfinite(total):
         return total
     far = int(np.count_nonzero(np.isinf(dists)))
@@ -198,8 +224,7 @@ def _weighted_sum(xs: PointSet, j: int, weight, scale: bool) -> float:
         raise DegenerateStatistic(
             f"{far} of {n} neighbour distances overflowed to inf (points too far apart)"
         )
-    with np.errstate(all="ignore"):
-        bad = int(np.count_nonzero(~np.isfinite(weight(dists))))
+    bad = int(np.count_nonzero(~np.isfinite(vals)))
     if bad:
         raise DegenerateStatistic(
             f"{bad} of {n} summands not finite (tied points under a negative power?)"
@@ -215,10 +240,7 @@ def statistic_power(xs: PointSet, j: int, alpha: float) -> float:
     distance (tied points) would make a summand infinite; that raises
     :class:`DegenerateStatistic` so the caller can resample.
     """
-    alpha = float(alpha)
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
-    return _weighted_sum(xs, j, lambda t: t**alpha, scale=True)
+    return _weighted_sum(xs, j, _power(alpha), scale=True)
 
 
 def statistic_phi(xs: PointSet, j: int, phi) -> float:

@@ -438,6 +438,18 @@ def test_probe_reports_exponent():
     assert rows[0]["target"] is None or rows[0]["target"] == ""
 
 
+def test_probe_refuses_an_exponent_that_overflows_at_every_level(monkeypatch):
+    # alpha * p = inf; with every scaled distance below 1 each summand
+    # would be 0, so only the exponent check stops a silent 0.0
+    model = UniformConvexUnion.unit_cube(2)
+    draw = model.sample
+    monkeypatch.setattr(model, "sample", lambda rng, size: 1e-3 * draw(rng, size))
+    for n in (16, 200):  # a stacked level and one tree per replication
+        config = _config(model=model, alpha=1e200, n_grid=(n,), replications=3)
+        with pytest.raises(ValueError, match="alpha must be finite, got inf"):
+            run_moment_probe(config, p=1e200)
+
+
 def test_probe_bounded_under_safe_conditions():
     result = run_moment_probe(_config(n_grid=(100, 400, 1600), replications=4), p=3.0)
     means = result.trend["means"]
@@ -498,8 +510,8 @@ def tree_counts(monkeypatch):
 @pytest.mark.parametrize("d", range(1, 13))
 def test_stacked_levels_equal_one_tree_per_replication(d, tree_counts):
     model = GaussianStandard(d)
-    replications = 70  # two stacks at n = 17, five at n = 64
-    for n, j in itertools.product((2, 3, 17, 64), (1, 2, 5)):
+    replications = 70  # two stacks at n = 17, five at n = 64, nine at n = 128
+    for n, j in itertools.product((2, 3, 17, 64, 128), (1, 2, 5)):
         if n <= j:
             continue
         for alpha in (1.5, -0.7):
@@ -514,9 +526,9 @@ def test_stacked_levels_equal_one_tree_per_replication(d, tree_counts):
                 assert (stacked, per_replication) == (0, replications)
 
 
-def test_stacked_levels_stop_above_64_points(tree_counts):
-    got = _probe_values(CX, 65, 1, 1.5, 3, 20)
-    assert got == _one_tree_each(CX, 65, 1, 1.5, 3, 20)
+def test_stacked_levels_stop_above_128_points(tree_counts):
+    got = _probe_values(CX, 129, 1, 1.5, 3, 20)
+    assert got == _one_tree_each(CX, 129, 1, 1.5, 3, 20)
     assert tree_counts["knn_dim_3"] == 0 and tree_counts["per_replication"] == 20
 
 

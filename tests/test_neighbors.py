@@ -226,6 +226,13 @@ def test_phi_scalar_callable_falls_back():
     assert statistic_phi(LINE, 1, lambda t: min(float(t), 1.0)) == 3.0
 
 
+def test_phi_gets_one_sample_as_a_one_dimensional_array():
+    # a phi that takes len() or iterates sees the n scaled distances 3, 3, 6
+    assert statistic_phi(LINE, 1, lambda t: np.ones(len(t))) == 3.0
+    exps = statistic_phi(LINE, 1, lambda t: np.array([math.exp(-v) for v in t]))
+    assert exps == math.exp(-3.0) + math.exp(-3.0) + math.exp(-6.0)
+
+
 def test_phi_non_finite_raises():
     xs = PointSet([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
     with np.errstate(divide="ignore"):
