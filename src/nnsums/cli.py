@@ -276,6 +276,13 @@ def _cmd_limit(args) -> int:
     return 0
 
 
+#: subcommand -> what its --force overrides
+_FORCE_HELP = {
+    "converge": "run past a refused convergence condition",
+    "diverge": "run past a refused divergence condition",
+    "entropy": "run past a refused convergence condition",
+}
+
 _COMMANDS = {
     "estimate": (_cmd_estimate, "evaluate one statistic on a CSV point set"),
     "converge": (_cmd_converge, "Monte Carlo convergence run against the known limit"),
@@ -299,12 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write a .json report, or .csv except for check and limit")
         if name in ("converge", "diverge", "entropy", "probe"):
             p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        if name in ("converge", "diverge", "entropy"):
-            p.add_argument(
-                "--force",
-                action="store_true",
-                help="run even when no convergence guarantee applies",
-            )
+        if name in _FORCE_HELP:
+            p.add_argument("--force", action="store_true", help=_FORCE_HELP[name])
     return parser
 
 

@@ -3,9 +3,10 @@
 Each model supplies pdf evaluation, exact sampling, the integral of f^rho,
 the critical moment (the supremum of the orders r with E|X|^r finite),
 and the probability mass of the dyadic annuli A_k (inner radius 2^k, outer
-2^(k+1), with A_0 the ball of radius 2). Those are exactly the quantities
-the convergence and divergence conditions are phrased in, so the catalog
-doubles as ground truth for the Monte Carlo experiments.
+2^(k+1), with A_0 the ball of radius 2); a compact support refuses the
+annulus masses, since divergence never holds on one. Those are exactly the
+quantities the convergence and divergence conditions are phrased in, so
+the catalog doubles as ground truth for the Monte Carlo experiments.
 
 Models:
 
@@ -32,98 +33,6 @@ from scipy.special import betainc, gammainc
 
 from .errors import ConfigError, QuadratureBudgetExceeded
 from .limits import _adaptive_gauss, unit_ball_volume
-
-
-# ---------------------------------------------------------------------------
-# geometry helpers
-
-
-def _cap_volume(radius: float, height: float, d: int) -> float:
-    """Volume of a spherical cap of the given height cut from a d-ball.
-
-    For h <= r it is omega_d r^d I_x((d + 1)/2, 1/2) / 2 with
-    x = (2rh - h^2)/r^2 (S. Li 2011, "Concise formulas for the area and
-    volume of a hyperspherical cap"); a cap past the center is the ball
-    less the cap on the other side.
-    """
-    h = min(max(height, 0.0), 2.0 * radius)
-    if h == 0.0 or radius <= 0.0:
-        return 0.0
-    low = min(h, 2.0 * radius - h)
-    ball = unit_ball_volume(d) * radius**d
-    cap = 0.5 * ball * float(betainc(0.5 * (d + 1), 0.5, low * (2.0 * radius - low) / radius**2))
-    return cap if h <= radius else ball - cap
-
-
-def _ball_ball_volume(center_dist: float, r1: float, r2: float, d: int) -> float:
-    """Volume of the intersection of two balls with centers ``center_dist`` apart."""
-    if r1 <= 0.0 or r2 <= 0.0:
-        return 0.0
-    if center_dist >= r1 + r2:
-        return 0.0
-    if center_dist <= abs(r1 - r2):
-        return unit_ball_volume(d) * min(r1, r2) ** d
-    a1 = (center_dist**2 + r1**2 - r2**2) / (2.0 * center_dist)
-    a2 = (center_dist**2 + r2**2 - r1**2) / (2.0 * center_dist)
-    return _cap_volume(r1, r1 - a1, d) + _cap_volume(r2, r2 - a2, d)
-
-
-def _quadrant_disk_area(x, y, r):
-    """Area of {0 <= u <= x, 0 <= v <= y, u^2 + v^2 <= r^2} for x, y >= 0, r > 0."""
-    x, y = np.minimum(x, r), np.minimum(y, r)
-    # full height y up to where v = y meets the circle, the arc beyond it
-    inner = np.minimum(x, np.sqrt(r * r - y * y))
-
-    def under_arc(u):  # integral of sqrt(r^2 - t^2) over [0, u]
-        return 0.5 * (u * np.sqrt(r * r - u * u) + r * r * np.arcsin(u / r))
-
-    return inner * y + under_arc(x) - under_arc(inner)
-
-
-def _box_disk_area(lo, hi, r):
-    """Area of the rectangle [lo, hi] intersected with the disk of radius r
-    at the origin, by inclusion-exclusion over its corners' quadrants."""
-    return sum(
-        sx * sy * np.sign(x) * np.sign(y) * _quadrant_disk_area(abs(x), abs(y), r)
-        for x, sx in ((hi[0], 1.0), (lo[0], -1.0))
-        for y, sy in ((hi[1], 1.0), (lo[1], -1.0))
-    )
-
-
-def _box_ball_volume(lo, hi, radius: float) -> float:
-    """Volume of an axis-aligned box intersected with a ball at the origin.
-
-    Closed forms in d = 1 and 2; in d = 3 one pass of the adaptive rule
-    over the first coordinate, with a panel edge wherever a section's
-    radius passes a corner or an edge of the rectangle it cuts. Larger
-    dimensions raise :class:`ConfigError`: the volume serves only the
-    annulus masses of divergence schedules, and divergence never holds on a
-    compact support.
-    """
-    d = len(lo)
-    if d > 3:
-        raise ConfigError(
-            f"box-ball volumes are computed for d <= 3 only, got d = {d}; "
-            "divergence never holds on a compact support"
-        )
-    if radius <= 0.0:
-        return 0.0
-    if d == 1:
-        return max(0.0, min(hi[0], radius) - max(lo[0], -radius))
-    if d == 2:
-        return float(_box_disk_area(lo, hi, radius))
-    a, b = max(lo[0], -radius), min(hi[0], radius)
-    if b <= a:
-        return 0.0
-    rsq = radius * radius
-    kinks = [y * y for y in lo[1:] + hi[1:]]
-    kinks += [y * y + z * z for y in (lo[1], hi[1]) for z in (lo[2], hi[2])]
-    cuts = [x for k in kinks if k < rsq for x in (-math.sqrt(rsq - k), math.sqrt(rsq - k))]
-    edges = np.unique(np.clip([a, b, *cuts], a, b))
-    value, _ = _adaptive_gauss(
-        lambda x: _box_disk_area(lo[1:], hi[1:], np.sqrt(rsq - x * x)), edges, 1e-12
-    )
-    return float(value[0])
 
 
 # ---------------------------------------------------------------------------
@@ -157,16 +66,6 @@ class Box:
     def volume(self) -> float:
         return math.prod(h - l for l, h in zip(self.lo, self.hi))
 
-    @property
-    def bounding_radius(self) -> float:
-        return math.sqrt(sum(max(l * l, h * h) for l, h in zip(self.lo, self.hi)))
-
-    @property
-    def origin_distance(self) -> float:
-        return math.sqrt(
-            sum(max(l - 0.0, 0.0, 0.0 - h) ** 2 for l, h in zip(self.lo, self.hi))
-        )
-
     def contains(self, x: np.ndarray) -> np.ndarray:
         lo = np.asarray(self.lo)
         hi = np.asarray(self.hi)
@@ -176,13 +75,6 @@ class Box:
         lo = np.asarray(self.lo)
         hi = np.asarray(self.hi)
         return lo + (hi - lo) * rng.random((n, self.dim))
-
-    def radial_volume(self, s: float) -> float:
-        if s <= self.origin_distance:
-            return 0.0
-        if s >= self.bounding_radius:
-            return self.volume
-        return _box_ball_volume(self.lo, self.hi, s)
 
 
 @dataclass(frozen=True)
@@ -215,31 +107,12 @@ class Ball:
     def volume(self) -> float:
         return unit_ball_volume(self.dim) * self.radius**self.dim
 
-    @property
-    def center_norm(self) -> float:
-        return math.sqrt(sum(v * v for v in self.center))
-
-    @property
-    def bounding_radius(self) -> float:
-        return self.center_norm + self.radius
-
-    @property
-    def origin_distance(self) -> float:
-        return max(0.0, self.center_norm - self.radius)
-
     def contains(self, x: np.ndarray) -> np.ndarray:
         diff = x - np.asarray(self.center)
         return np.sum(diff * diff, axis=-1) <= self.radius**2
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.asarray(self.center) + self.radius * _unit_ball_sample(rng, n, self.dim)
-
-    def radial_volume(self, s: float) -> float:
-        if s <= self.origin_distance:
-            return 0.0
-        if s >= self.bounding_radius:
-            return self.volume
-        return _ball_ball_volume(self.center_norm, self.radius, s, self.dim)
 
 
 def _unit_ball_sample(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
@@ -279,9 +152,9 @@ class DensityModel(ABC):
 
     Subclasses are immutable after construction, and their normalizing
     constants are closed forms, so building one runs no quadrature. The
-    annulus masses come from one rule, :meth:`annulus_mass`, over the
-    subclass's radial CDF ``_radial_cdf(s)``; a model whose shells have a
-    closed form overrides the rule instead. :meth:`expect_of_intensity`
+    annulus masses, :meth:`annulus_mass`, come from the radial CDF of a
+    radial model or from closed-form shells; a compact support refuses
+    them, as it has no shell schedule. :meth:`expect_of_intensity`
     takes its error budget ``tol`` from the caller, with no default.
     Sampling takes a caller-supplied generator; one generator must not be
     shared across concurrent callers, but distinct generators may run in
@@ -320,17 +193,13 @@ class DensityModel(ABC):
     def critical_moment(self) -> float:
         """Supremum of the orders with a finite absolute moment."""
 
+    @abstractmethod
     def annulus_mass(self, k: int) -> float:
         """Probability of the annulus A_k (A_0 is the ball of radius 2).
 
-        The difference of the radial CDF ``self._radial_cdf(s)``, the
-        probability of |X| <= s, at the radii 2^k and 2^(k+1).
+        Raises :class:`ConfigError` on a compact support, which has no
+        shell schedule.
         """
-        if k < 0:
-            raise ValueError(f"annulus index must be >= 0, got {k}")
-        if k == 0:
-            return self._radial_cdf(2.0)
-        return self._radial_cdf(2.0 ** (k + 1)) - self._radial_cdf(2.0**k)
 
     @abstractmethod
     def expect_of_intensity(self, h, tol: float) -> tuple[float, float]:
@@ -494,8 +363,11 @@ class UniformConvexUnion(DensityModel):
     def critical_moment(self):
         return math.inf
 
-    def _radial_cdf(self, s: float) -> float:
-        return sum(b.radial_volume(s) / self.total_volume for b in self.bodies)
+    def annulus_mass(self, k):
+        raise ConfigError(
+            "a uniform union has a compact support, which has no shell "
+            "schedule: divergence never holds on one"
+        )
 
     def expect_of_intensity(self, h, tol):
         # f is constant on its support, so the integral collapses exactly
@@ -530,11 +402,24 @@ class UniformConvexUnion(DensityModel):
 
 class _RadialModel(DensityModel):
     """A density f(x) = _profile(|x|) that decreases in |x|: its pdf, its
-    supremum f(0) and its limit integrals all come from the profile."""
+    supremum f(0) and its limit integrals all come from the profile, and
+    its annulus masses from the radial CDF ``_radial_cdf``."""
 
     @abstractmethod
     def _profile(self, s: np.ndarray) -> np.ndarray:
         """The density at radius s."""
+
+    @abstractmethod
+    def _radial_cdf(self, s: float) -> float:
+        """The probability of |X| <= s."""
+
+    def annulus_mass(self, k):
+        """The difference of the radial CDF at the radii 2^k and 2^(k+1)."""
+        if k < 0:
+            raise ValueError(f"annulus index must be >= 0, got {k}")
+        if k == 0:
+            return self._radial_cdf(2.0)
+        return self._radial_cdf(2.0 ** (k + 1)) - self._radial_cdf(2.0**k)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)

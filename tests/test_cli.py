@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -5,10 +7,13 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nnsums
 from nnsums.cli import _CHECK_KEYS, _DIVERGE_KEYS, _ESTIMATE_KEYS, _LIMIT_KEYS, main
@@ -130,6 +135,32 @@ def test_diverge_k_range_form(tmp_path):
     }
     cfg = _write_config(tmp_path, "d.json", payload)
     assert main(["diverge", "--config", cfg]) == 0
+
+
+UNIFORM_DIVERGE = {
+    **{k: v for k, v in UNIFORM_CONVERGE.items() if k in ("model", "d", "bodies")},
+    "alpha": 1.0,
+    "k_grid": [0, 1],
+}
+
+
+def test_forced_diverge_on_a_uniform_union_exits_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "u.json", UNIFORM_DIVERGE)
+    assert main(["diverge", "--config", cfg, "--force"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "compact support" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, condition",
+    [("converge", "convergence"), ("diverge", "divergence"), ("entropy", "convergence")],
+)
+def test_force_help_names_the_condition_it_overrides(capsys, command, condition):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"--force run past a refused {condition} condition" in help_text
 
 
 def test_entropy_cli(tmp_path, capsys):
@@ -466,6 +497,80 @@ def test_json_reports_refuse_other_suffixes(tmp_path, capsys, command):
     assert _run_config(tmp_path, command, _KIND_CASES[command][0], "--out", str(out)) == 2
     assert "must end in .json" in capsys.readouterr().err
     assert not out.exists()
+
+
+# the largest shell index drawn per model: it keeps the witness sizes
+# n(k) = ceil(1 / F(A_k)) of a diverge run below about 2 * 10^4 points
+_CONTRACT_K_MAX = {"uniform_union": 5, "gaussian": 2, "power_law": 3, "counterexample": 5}
+
+
+@st.composite
+def _contract_runs(draw):
+    """A subcommand, its configuration and its flags, each small enough to run quickly."""
+    command = draw(st.sampled_from(["converge", "diverge", "entropy", "probe", "check", "limit"]))
+    model = draw(st.sampled_from(sorted(_CONTRACT_K_MAX)))
+    d = draw(st.integers(1, 3))
+    cfg = {"model": model, "d": d}
+    if model == "uniform_union":
+        cfg["bodies"] = [{"type": "box", "lo": [0.0] * d, "hi": [1.0] * d}]
+        if draw(st.booleans()):
+            ball = {"type": "ball", "center": [4.0] + [0.0] * (d - 1), "radius": 1.5}
+            cfg["bodies"].append(ball)
+    elif model == "power_law":
+        cfg["beta"] = d + draw(st.floats(0.5, 4.0))
+    elif model == "counterexample":
+        cfg["r"] = draw(st.floats(0.1, 3.0))
+    alpha = draw(st.floats(-2.9, 3.0))
+    j = draw(st.sampled_from([1, 2, 5]))
+    if command in ("check", "limit"):
+        cfg |= {"alpha": alpha} | ({"j": j} if command == "limit" else {})
+    elif command == "diverge":
+        k_min = draw(st.integers(0, _CONTRACT_K_MAX[model]))
+        k_max = draw(st.integers(k_min, _CONTRACT_K_MAX[model]))
+        cfg |= {"alpha": alpha, "j": j, "k_min": k_min, "k_max": k_max}
+    else:
+        sizes = draw(st.lists(st.integers(2, 64), min_size=1, max_size=3, unique=True))
+        cfg |= {"j": j, "n_grid": sorted(sizes), "replications": draw(st.integers(1, 3))}
+        if command == "entropy":
+            cfg["rho"] = 1.0 - alpha / d
+        else:
+            cfg["alpha"] = alpha
+    forced = command in ("converge", "diverge", "entropy") and draw(st.booleans())
+    return command, cfg, ["--force"] if forced else []
+
+
+def _assert_finite_numbers(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            _assert_finite_numbers(item)
+    elif isinstance(value, float):
+        assert math.isfinite(value)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_contract_runs())
+@example(("diverge", UNIFORM_DIVERGE, ["--force"]))
+def test_cli_either_reports_finite_numbers_or_refuses(run):
+    # the contract of every model-based subcommand: exit 0 with only finite
+    # numbers on stdout and in the report, or exit 2 with an error message
+    command, cfg, flags = run
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "report.json")
+        with open(config, "w") as fh:
+            json.dump(cfg, fh)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([command, "--config", config, "--out", out, *flags])
+        if code == 2:
+            assert stderr.getvalue().startswith("error:"), stderr.getvalue()
+            return
+        assert code == 0
+        text = stdout.getvalue().replace(out, "")
+        assert not re.search(r"\b(nan|inf|infinity)\b", text, re.IGNORECASE), text
+        with open(out) as fh:
+            _assert_finite_numbers(json.load(fh, parse_constant=float))
 
 
 def _run(argv, child_path=True):

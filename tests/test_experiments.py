@@ -353,6 +353,14 @@ def test_divergence_refused_when_conditions_fail():
     # alpha = 0.2 keeps r_c = 1 above the threshold 2*0.2/1.8
 
 
+def test_forced_divergence_on_a_compact_support_is_refused():
+    # unforced, the conditions refuse it; forced, the schedule does
+    with pytest.raises(ConditionRefused):
+        run_divergence(UNIFORM, 1.0, [0, 1], 2, 0)
+    with pytest.raises(ConfigError, match="compact support"):
+        run_divergence(UNIFORM, 1.0, [0, 1], 2, 0, force=True)
+
+
 def test_divergence_refuses_shell_without_jth_neighbour():
     # n(2) = 2 points at j = 2: no point has a second neighbour
     with pytest.raises(ConfigError, match=r"k=2 with n\(k\)=2 hold at most j=2"):
