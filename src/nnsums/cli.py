@@ -17,9 +17,13 @@ diverge   model, alpha: float, k_grid: int_list | k_min: int and k_max: int,
 check     model, alpha: float, q: int = 1
 limit     model, j: int = 1, tol: float = 1e-6, alpha: float | phi: str
 
---out writes a .json report, or .csv except for check and limit. --seed
-(converge, diverge, entropy, probe) overrides the config seed, and --force
-(converge, diverge, entropy) runs past a refused condition.
+--out writes the report to a .csv or .json file, .json only for check and
+limit. Its suffix is checked before the run, and the report is written
+before a line is printed, so a run that exits 2 prints nothing on stdout.
+"wrote PATH" follows the lines, on stderr for check so that its stdout
+stays one JSON document. --seed (converge, diverge, entropy, probe)
+overrides the config seed, and --force (converge, diverge, entropy) runs
+past a refused condition.
 
 The same interface runs as the ``nnsums`` console script declared in
 ``pyproject.toml`` and, from a source checkout, as ``python -m nnsums``
@@ -84,28 +88,15 @@ def _estimator_config(args, key: str, entry) -> tuple[EstimatorConfig, object]:
     return EstimatorConfig.from_dict(cfg, seed_override=args.seed), value
 
 
-def _write_json_text(path: str, text: str) -> None:
-    if not path.endswith(".json"):
-        raise ConfigError(f"output path must end in .json, got {path}")
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+def _summary_lines(result: ExperimentResult) -> list:
+    return [
+        f"  n={s.n:>8d}  mean={s.mean:.6g}  se={s.std_error:.3g}"
+        + ("" if s.lq_error is None else f"  L{result.q}_error={s.lq_error:.6g}")
+        for s in result.summaries
+    ]
 
 
-def _emit(result: ExperimentResult, out: str | None) -> None:
-    if out:
-        result.write(out)
-        print(f"wrote {out}")
-
-
-def _print_summaries(result: ExperimentResult) -> None:
-    for s in result.summaries:
-        line = f"  n={s.n:>8d}  mean={s.mean:.6g}  se={s.std_error:.3g}"
-        if s.lq_error is not None:
-            line += f"  L{result.q}_error={s.lq_error:.6g}"
-        print(line)
-
-
-def _cmd_estimate(args) -> int:
+def _cmd_estimate(args):
     v = _read_config(_load_config(args.config), _ESTIMATE_KEYS)
     points = PointSet.from_csv(v["points"])
     j, alpha, phi_name, n = v["j"], v["alpha"], v["phi"], len(points)
@@ -120,15 +111,18 @@ def _cmd_estimate(args) -> int:
         )
     if alpha is not None:
         raw = statistic_power(points, j, alpha)
-        gam = gamma_constant(points.dim, j, alpha)
-        value = raw / (gam * n)
-        print(f"S_{{n,alpha}} = {raw!r}  (n={n}, d={points.dim}, j={j}, alpha={alpha})")
-        print(f"normalized estimate gamma^-1 n^-1 S = {value!r}")
+        value = raw / (gamma_constant(points.dim, j, alpha) * n)
+        lines = [
+            f"S_{{n,alpha}} = {raw!r}  (n={n}, d={points.dim}, j={j}, alpha={alpha})",
+            f"normalized estimate gamma^-1 n^-1 S = {value!r}",
+        ]
     else:
         raw = statistic_phi(points, j, resolve_phi(phi_name))
         value = raw / n
-        print(f"S_{{n,phi}} = {raw!r}  (n={n}, d={points.dim}, j={j}, phi={phi_name})")
-        print(f"per-point value n^-1 S = {value!r}")
+        lines = [
+            f"S_{{n,phi}} = {raw!r}  (n={n}, d={points.dim}, j={j}, phi={phi_name})",
+            f"per-point value n^-1 S = {value!r}",
+        ]
     result = ExperimentResult(
         experiment="estimate",
         model_name="csv",
@@ -140,28 +134,26 @@ def _cmd_estimate(args) -> int:
         records=[RunRecord(n=n, replication=0, value=value)],
         phi=phi_name,
     )
-    _emit(result, args.out)
-    return 0
+    return lines, result
 
 
-def _cmd_converge(args) -> int:
+def _cmd_converge(args):
     config = EstimatorConfig.from_dict(_load_config(args.config), seed_override=args.seed)
     result = run_convergence(config, force=args.force)
-    print(
+    lines = [
         f"converge: {result.model_name} d={result.d} j={result.j} "
-        f"alpha={result.alpha} q={result.q} target={result._target_cell()}"
-    )
-    _print_summaries(result)
+        f"alpha={result.alpha} q={result.q} target={result._target_cell()}",
+        *_summary_lines(result),
+    ]
     if result.trend:
-        print(
+        lines.append(
             f"  L{result.q}-error decreasing trend: "
             f"S={result.trend['decreasing_s']} p={result.trend['decreasing_p']:.4g}"
         )
-    _emit(result, args.out)
-    return 0
+    return lines, result
 
 
-def _cmd_diverge(args) -> int:
+def _cmd_diverge(args):
     v = _read_config(_load_config(args.config), _DIVERGE_KEYS)
     k_grid, k_min, k_max = v["k_grid"], v["k_min"], v["k_max"]
     if k_grid is None and None not in (k_min, k_max):
@@ -175,72 +167,61 @@ def _cmd_diverge(args) -> int:
     schedule, result = run_divergence(
         v["model"], alpha, k_grid, v["replications"], seed, j=j, force=args.force
     )
-    print(
+    trend = result.trend
+    lines = [
         f"diverge: {result.model_name} d={result.d} j={j} alpha={alpha} "
         f"shells {schedule.k_grid} -> n(k) {schedule.n_of_k}"
-    )
+    ]
     for k, n, mean, proxy in zip(
-        schedule.k_grid,
-        schedule.n_of_k,
-        result.trend["means"],
-        result.trend["lower_bound_proxy"],
+        schedule.k_grid, schedule.n_of_k, trend["means"], trend["lower_bound_proxy"]
     ):
-        print(f"  k={k}  n={n:>8d}  mean={mean:.6g}  lower-bound proxy={proxy:.6g}")
-    if "increasing_p" in result.trend:
-        print(
-            f"  increasing trend: S={result.trend['increasing_s']} "
-            f"p={result.trend['increasing_p']:.4g} "
-            f"last/first={result.trend['last_over_first']:.4g}"
+        lines.append(f"  k={k}  n={n:>8d}  mean={mean:.6g}  lower-bound proxy={proxy:.6g}")
+    if "increasing_p" in trend:
+        lines.append(
+            f"  increasing trend: S={trend['increasing_s']} "
+            f"p={trend['increasing_p']:.4g} last/first={trend['last_over_first']:.4g}"
         )
-    _emit(result, args.out)
-    return 0
+    return lines, result
 
 
-def _cmd_entropy(args) -> int:
+def _cmd_entropy(args):
     config, rho = _estimator_config(args, "rho", ("float", _REQUIRED))
     if config.alpha is not None:
         raise ConfigError("entropy takes 'rho' and sets alpha = d * (1 - rho); drop 'alpha'")
-    run = run_entropy(config, rho, force=args.force)
-    ent = run.entropy
-    print(
-        f"entropy: {run.result.model_name} d={run.result.d} rho={rho} "
-        f"(alpha={run.result.alpha})"
-    )
-    print(f"  I estimate      = {ent.i_rho!r} +- {run.i_std_error:.3g}")
-    print(f"  Tsallis entropy = {ent.tsallis!r} +- {run.tsallis_std_error:.3g}")
-    print(f"  Renyi entropy   = {ent.renyi!r} +- {run.renyi_std_error:.3g}")
-    _emit(run.result, args.out)
-    return 0
+    result = run_entropy(config, rho, force=args.force)
+    t = result.trend
+    lines = [
+        f"entropy: {result.model_name} d={result.d} rho={rho} (alpha={result.alpha})",
+        f"  I estimate      = {t['i_estimate']!r} +- {t['i_std_error']:.3g}",
+        f"  Tsallis entropy = {t['tsallis']!r} +- {t['tsallis_std_error']:.3g}",
+        f"  Renyi entropy   = {t['renyi']!r} +- {t['renyi_std_error']:.3g}",
+    ]
+    return lines, result
 
 
-def _cmd_probe(args) -> int:
+def _cmd_probe(args):
     config, p = _estimator_config(args, "p", ("float", 1.0))
     result = run_moment_probe(config, p)
-    print(
+    lines = [
         f"probe: {result.model_name} d={result.d} j={result.j} "
-        f"alpha*p={result.trend['exponent']} over n_grid {list(config.n_grid)}"
-    )
-    _print_summaries(result)
+        f"alpha*p={result.trend['exponent']} over n_grid {list(config.n_grid)}",
+        *_summary_lines(result),
+    ]
     if "increasing_p" in result.trend:
-        print(
+        lines.append(
             f"  increasing trend: S={result.trend['increasing_s']} "
             f"p={result.trend['increasing_p']:.4g}"
         )
-    _emit(result, args.out)
-    return 0
+    return lines, result
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args):
     v = _read_config(_load_config(args.config), _CHECK_KEYS)
     text = condition_report(v["model"], v["alpha"], v["q"]).to_json()
-    print(text)
-    if args.out:
-        _write_json_text(args.out, text)
-        print(f"wrote {args.out}", file=sys.stderr)
-    return 0
+    return [text], text
 
 
-def _cmd_limit(args) -> int:
+def _cmd_limit(args):
     v = _read_config(_load_config(args.config), _LIMIT_KEYS)
     model, j, alpha, phi_name = v["model"], v["j"], v["alpha"], v["phi"]
     if (alpha is None) == (phi_name is None):
@@ -256,25 +237,26 @@ def _cmd_limit(args) -> int:
     phi = (lambda t: t**alpha) if alpha is not None else resolve_phi(phi_name)
     value, err = limit_functional(phi, model, j=j, tol=v["tol"], return_error=True)
     label = f"alpha={alpha}" if alpha is not None else f"phi={phi_name}"
-    print(f"limit functional ({model.name}, d={model.dim}, j={j}, {label})")
-    print(f"  value = {value!r}  (error estimate {err:.3g})")
+    lines = [
+        f"limit functional ({model.name}, d={model.dim}, j={j}, {label})",
+        f"  value = {value!r}  (error estimate {err:.3g})",
+    ]
     if alpha is not None:
         closed = gamma_constant(model.dim, j, alpha) * i_val
-        print(f"  closed-form cross-check gamma * I = {closed!r}")
-    if args.out:
-        payload = {
-            "model": model.name,
-            "d": model.dim,
-            "j": j,
-            "alpha": alpha,
-            "phi": phi_name,
-            "value": value,
-            "error_estimate": err,
-        }
-        _write_json_text(args.out, json.dumps(payload, indent=2, sort_keys=True))
-        print(f"wrote {args.out}")
-    return 0
+        lines.append(f"  closed-form cross-check gamma * I = {closed!r}")
+    payload = {
+        "model": model.name,
+        "d": model.dim,
+        "j": j,
+        "alpha": alpha,
+        "phi": phi_name,
+        "value": value,
+        "error_estimate": err,
+    }
+    return lines, json.dumps(payload, indent=2, sort_keys=True)
 
+
+_CSV_JSON = (".csv", ".json")
 
 #: subcommand -> what its --force overrides
 _FORCE_HELP = {
@@ -283,14 +265,17 @@ _FORCE_HELP = {
     "entropy": "run past a refused convergence condition",
 }
 
+#: subcommand -> (handler, the suffixes its --out takes, help text). A
+#: handler returns the lines to print and the report: an ExperimentResult,
+#: or the JSON text of check and limit.
 _COMMANDS = {
-    "estimate": (_cmd_estimate, "evaluate one statistic on a CSV point set"),
-    "converge": (_cmd_converge, "Monte Carlo convergence run against the known limit"),
-    "diverge": (_cmd_diverge, "witness the unbounded mean along the shell schedule"),
-    "entropy": (_cmd_entropy, "estimate Tsallis and Renyi entropies"),
-    "probe": (_cmd_probe, "empirical moment profile across sample sizes"),
-    "check": (_cmd_check, "print the condition report as JSON"),
-    "limit": (_cmd_limit, "evaluate the limit functional by quadrature"),
+    "estimate": (_cmd_estimate, _CSV_JSON, "evaluate one statistic on a CSV point set"),
+    "converge": (_cmd_converge, _CSV_JSON, "Monte Carlo convergence run against the known limit"),
+    "diverge": (_cmd_diverge, _CSV_JSON, "witness the unbounded mean along the shell schedule"),
+    "entropy": (_cmd_entropy, _CSV_JSON, "estimate Tsallis and Renyi entropies"),
+    "probe": (_cmd_probe, _CSV_JSON, "empirical moment profile across sample sizes"),
+    "check": (_cmd_check, (".json",), "print the condition report as JSON"),
+    "limit": (_cmd_limit, (".json",), "evaluate the limit functional by quadrature"),
 }
 
 
@@ -300,10 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="power-weighted nearest-neighbor sums: experiments and reports",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
+    for name, (_, suffixes, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON configuration file")
-        p.add_argument("--out", help="write a .json report, or .csv except for check and limit")
+        p.add_argument("--out", help=f"write the report to a {' or '.join(suffixes)} file")
         if name in ("converge", "diverge", "entropy", "probe"):
             p.add_argument("--seed", type=int, default=None, help="override the config seed")
         if name in _FORCE_HELP:
@@ -313,9 +298,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handler = _COMMANDS[args.command][0]
+    handler, suffixes, _ = _COMMANDS[args.command]
     try:
-        return handler(args)
+        if args.out and not args.out.endswith(suffixes):
+            raise ConfigError(f"output path must end in {' or '.join(suffixes)}, got {args.out}")
+        lines, report = handler(args)
+        if args.out and isinstance(report, ExperimentResult):
+            report.write(args.out)
+        elif args.out:
+            with open(args.out, "w") as fh:
+                fh.write(report + "\n")
     except (ConfigError, ConditionRefused, QuadratureBudgetExceeded, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print("\n".join(lines))
+    if args.out:
+        # check keeps its stdout one JSON document
+        print(f"wrote {args.out}", file=sys.stderr if args.command == "check" else sys.stdout)
+    return 0

@@ -414,9 +414,12 @@ class _RadialModel(DensityModel):
         """The probability of |X| <= s."""
 
     def annulus_mass(self, k):
-        """The difference of the radial CDF at the radii 2^k and 2^(k+1)."""
+        """The difference of the radial CDF at the radii 2^k and 2^(k+1);
+        refused past k = 1022, where 2^(k+1) overflows a float."""
         if k < 0:
             raise ValueError(f"annulus index must be >= 0, got {k}")
+        if k > 1022:
+            raise ConfigError(f"shell k={k} has outer radius 2^{k + 1}, past the largest float")
         if k == 0:
             return self._radial_cdf(2.0)
         return self._radial_cdf(2.0 ** (k + 1)) - self._radial_cdf(2.0**k)

@@ -49,7 +49,7 @@ from . import neighbors
 from .conditions import check_divergence, condition_report
 from .densities import _MODEL, _REQUIRED, DensityModel, _read_config
 from .errors import ConditionRefused, ConfigError, DegenerateStatistic
-from .limits import EntropyValue, _check_rho, entropy_from_integral, gamma_constant
+from .limits import _check_rho, entropy_from_integral, gamma_constant
 from .neighbors import statistic_power
 from .points import PointSet
 
@@ -74,6 +74,9 @@ def resolve_phi(name: str):
 
 
 _MAX_RESAMPLES = 5
+
+# The largest witness size n(k) a divergence schedule may ask for.
+_MAX_WITNESS = 2**24
 
 # Replications of at most _STACK_MAX_N points in at most _STACK_MAX_DIM
 # dimensions are stacked _STACK_POINTS // n to a kd-tree (see _sweep).
@@ -177,12 +180,20 @@ class DivergenceSchedule:
 
     @classmethod
     def from_model(cls, model: DensityModel, k_grid) -> "DivergenceSchedule":
+        """The schedule of ``model`` over ``k_grid``; refuses a shell of mass
+        F(A_k) below 2^-24, whose witness size would exceed ``_MAX_WITNESS``
+        = 2^24 points (a Gaussian shell k = 3 in d = 2 asks for 7.9e13)."""
         k_grid = tuple(int(k) for k in k_grid)
         sizes = []
         for k in k_grid:
             mass = model.annulus_mass(k)
             if mass <= 0.0:
                 raise ConfigError(f"annulus {k} carries no mass; cannot schedule it")
+            if mass < 1.0 / _MAX_WITNESS:
+                raise ConfigError(
+                    f"shell k={k} has mass F(A_k) = {mass:.3g}, so its witness size "
+                    f"n(k) = ceil(1/F(A_k)) exceeds the cap of {_MAX_WITNESS} points"
+                )
             sizes.append(math.ceil(1.0 / mass))
         return cls(k_grid=k_grid, n_of_k=tuple(sizes))
 
@@ -589,54 +600,35 @@ def run_divergence(
     return schedule, result
 
 
-@dataclass(frozen=True)
-class EntropyRun:
-    """Entropy estimates with Monte Carlo error bars and the raw run."""
-
-    entropy: EntropyValue
-    i_std_error: float
-    tsallis_std_error: float
-    renyi_std_error: float
-    result: ExperimentResult
-
-
-def run_entropy(config: EstimatorConfig, rho: float, force: bool = False) -> EntropyRun:
+def run_entropy(config: EstimatorConfig, rho: float, force: bool = False) -> ExperimentResult:
     """Estimate both entropies of order rho from the neighbor sums.
 
-    The exponent is alpha = d * (1 - rho); the integral estimate at the
-    largest sample size feeds the entropy transforms, and its standard
-    error propagates through them by the delta method.
+    Runs :func:`run_convergence` with the exponent alpha = d * (1 - rho)
+    and labels its result ``entropy``. The integral estimate at the largest
+    sample size feeds the entropy transforms, and its standard error
+    propagates through them by the delta method. The trend holds, besides
+    the convergence trend: ``rho``, the estimate ``i_estimate`` of the
+    integral of f^rho with its ``i_std_error``, and ``tsallis``, ``renyi``
+    with their ``tsallis_std_error`` and ``renyi_std_error``.
     """
     _check_rho(rho)
     d = config.model.dim
-    alpha = d * (1.0 - rho)
-    conv = run_convergence(replace(config, alpha=alpha), force=force)
-    conv.experiment = "entropy"
-    top = conv.summaries[-1]
-    i_hat = top.mean
-    se = top.std_error
-    entropy = entropy_from_integral(rho, i_hat)
+    result = run_convergence(replace(config, alpha=d * (1.0 - rho)), force=force)
+    result.experiment = "entropy"
+    top = result.summaries[-1]
+    entropy = entropy_from_integral(rho, top.mean)
     scale = abs(1.0 - rho)
-    run = EntropyRun(
-        entropy=entropy,
-        i_std_error=se,
-        tsallis_std_error=se / scale,
-        renyi_std_error=se / (scale * i_hat),
-        result=conv,
-    )
-    conv.trend = dict(conv.trend)
-    conv.trend.update(
-        {
-            "rho": rho,
-            "i_estimate": i_hat,
-            "i_std_error": se,
-            "tsallis": entropy.tsallis,
-            "tsallis_std_error": run.tsallis_std_error,
-            "renyi": entropy.renyi,
-            "renyi_std_error": run.renyi_std_error,
-        }
-    )
-    return run
+    result.trend = {
+        **result.trend,
+        "rho": rho,
+        "i_estimate": top.mean,
+        "i_std_error": top.std_error,
+        "tsallis": entropy.tsallis,
+        "tsallis_std_error": top.std_error / scale,
+        "renyi": entropy.renyi,
+        "renyi_std_error": top.std_error / (scale * top.mean),
+    }
+    return result
 
 
 def run_moment_probe(config: EstimatorConfig, p: float) -> ExperimentResult:

@@ -499,6 +499,37 @@ def test_json_reports_refuse_other_suffixes(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, out",
+    [
+        ("converge", "run.txt"),
+        ("check", "r.csv"),
+        ("limit", "r.csv"),
+        ("converge", "missing_dir/r.json"),
+    ],
+)
+def test_unwritable_out_exits_2_with_nothing_on_stdout(
+    tmp_path, monkeypatch, capsys, command, out
+):
+    # a bad suffix is refused before the run; a run that cannot write its
+    # report prints none of it
+    monkeypatch.chdir(tmp_path)
+    assert _run_config(tmp_path, command, _KIND_CASES[command][0], "--out", out) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
+def test_bad_suffix_is_refused_before_the_run(tmp_path, monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr("nnsums.cli.run_convergence", no_run)
+    payload = _KIND_CASES["converge"][0]
+    assert _run_config(tmp_path, "converge", payload, "--out", str(tmp_path / "r.txt")) == 2
+    assert "must end in .csv or .json" in capsys.readouterr().err
+
+
 # the largest shell index drawn per model: it keeps the witness sizes
 # n(k) = ceil(1 / F(A_k)) of a diverge run below about 2 * 10^4 points
 _CONTRACT_K_MAX = {"uniform_union": 5, "gaussian": 2, "power_law": 3, "counterexample": 5}
@@ -552,6 +583,10 @@ def _assert_finite_numbers(value):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(_contract_runs())
 @example(("diverge", UNIFORM_DIVERGE, ["--force"]))
+# shells whose witness sizes n(k) no sample can hold, each refused (exit 2)
+@example(("diverge", {"model": "gaussian", "d": 2, "alpha": 1.0, "k_grid": [3]}, ["--force"]))
+@example(("diverge", dict(COUNTER, r=10.0, alpha=1.5, k_grid=[107]), ["--force"]))
+@example(("diverge", dict(POWER, beta=2.5, alpha=1.5, k_grid=[1100]), ["--force"]))
 def test_cli_either_reports_finite_numbers_or_refuses(run):
     # the contract of every model-based subcommand: exit 0 with only finite
     # numbers on stdout and in the report, or exit 2 with an error message

@@ -324,6 +324,20 @@ def test_divergence_schedule_validation():
         DivergenceSchedule.from_model(CX, [0, 1])
 
 
+def test_divergence_schedule_refuses_shells_past_the_witness_cap():
+    # n(k) = 2^(k-1) on CX: k = 25 is the last shell within 2^24 points
+    assert DivergenceSchedule.from_model(CX, [25]).n_of_k == (2**24,)
+    with pytest.raises(ConfigError, match=r"k=26 .* n\(k\) = ceil\(1/F\(A_k\)\) exceeds"):
+        DivergenceSchedule.from_model(CX, [2, 26])
+    with pytest.raises(ConfigError, match=r"k=3 .* n\(k\)"):
+        DivergenceSchedule.from_model(GaussianStandard(2), [1, 2, 3])
+    # a subnormal mass, whose 1/F(A_k) overflows
+    with pytest.raises(ConfigError, match=r"k=107 .* n\(k\)"):
+        DivergenceSchedule.from_model(AnnulusBallCounterexample(2, 10.0), [107])
+    with pytest.raises(ConfigError, match=r"k=1100 has outer radius 2\^1101"):
+        DivergenceSchedule.from_model(PowerLawTail(2, 2.5), [1100])
+
+
 def test_divergence_schedule_refuses_shells_sharing_a_size():
     # same-size shells draw the same (seed, n, rep) streams: identical samples
     with pytest.raises(ConfigError, match=r"k=1 and k=2 have n\(k\) = 7 and 7"):
@@ -398,23 +412,24 @@ def test_divergence_trivial_single_shell():
 
 
 def test_entropy_uniform_rho_half():
-    run = run_entropy(_config(alpha=None), rho=0.5)
-    assert run.result.alpha == pytest.approx(1.0)
-    assert abs(run.entropy.tsallis) < 5.0 * run.tsallis_std_error + 0.05
-    assert abs(run.entropy.renyi) < 5.0 * run.renyi_std_error + 0.05
-    assert run.result.experiment == "entropy"
+    result = run_entropy(_config(alpha=None), rho=0.5)
+    t = result.trend
+    assert result.alpha == pytest.approx(1.0)
+    assert abs(t["tsallis"]) < 5.0 * t["tsallis_std_error"] + 0.05
+    assert abs(t["renyi"]) < 5.0 * t["renyi_std_error"] + 0.05
+    assert result.experiment == "entropy"
 
 
 def test_entropy_gaussian_rho_125():
     cfg = EstimatorConfig(
         model=GaussianStandard(2), j=1, n_grid=(500, 2000), replications=6, seed=3, q=2
     )
-    run = run_entropy(cfg, rho=1.25)
+    result = run_entropy(cfg, rho=1.25)
     # alpha = d(1 - rho) = -0.5 here
-    assert run.result.alpha == pytest.approx(-0.5)
+    assert result.alpha == pytest.approx(-0.5)
     i_true = GaussianStandard(2).i_rho(1.25)
-    assert run.entropy.i_rho == pytest.approx(i_true, rel=0.1)
-    assert run.entropy.renyi == pytest.approx(math.log(i_true) / (1 - 1.25), rel=0.2)
+    assert result.trend["i_estimate"] == pytest.approx(i_true, rel=0.1)
+    assert result.trend["renyi"] == pytest.approx(math.log(i_true) / (1 - 1.25), rel=0.2)
 
 
 def test_entropy_invalid_rho():

@@ -6,9 +6,9 @@ the same bytes. Each digest below is the sha256 of a report written by
 ``_edges_digest`` writes as CSV), so a change to sampling, to the neighbor
 search, to the reduction or to the replication sweep that moves even the
 last bit of one value fails here.
-The CLI digests pin the ``--out`` report of ``nnsums converge``, ``diverge``
-and ``check``, so a change to how a JSON configuration is read that alters
-any value the run receives fails too.
+The CLI digests pin the ``--out`` report and the stdout of one run of each
+subcommand, so a change to how a JSON configuration is read that alters
+any value the run receives, or to what a run prints, fails too.
 The power-law digest pins the gamma-ratio radius draw of ``PowerLawTail``,
 so each model of the catalog has its sampling stream pinned.
 The digests were taken with numpy 2.4 and scipy 1.17 on x86-64.
@@ -139,29 +139,79 @@ _CLI_CONFIGS = {
         "j": 1,
     },
     "check": {"model": "power_law", "d": 3, "beta": 7, "alpha": 1.0, "q": 2},
+    "estimate": {"points": "points.csv", "j": 2, "phi": "sqrt", "q": 2},
+    "entropy": {
+        "model": "gaussian",
+        "d": 2,
+        "rho": 1.25,
+        "n_grid": [20, 150, 600],
+        "replications": 3,
+        "seed": 4,
+        "q": 2,
+    },
+    "probe": {
+        "model": "power_law",
+        "d": 2,
+        "beta": 6.0,
+        "alpha": 1.0,
+        "p": 2.0,
+        "n_grid": [10, 100, 400],
+        "replications": 3,
+        "seed": 9,
+    },
+    "limit": {"model": "gaussian", "d": 3, "j": 2, "alpha": 1.5},
 }
 
 
 @pytest.mark.parametrize(
-    "command, digest",
+    "command, digest, stdout_digest",
     [
         (
             "converge",
             "dc149d3a5b702015b8fe5894e7c35600d4ae3186fc637b108a93ca9d6809c738",
+            "3d0ec9bc5d4468c6e379c43d02701191d298149186c5b26a9c057b1e7f6d0332",
         ),
         (
             "diverge",
             "9da9a842e254a24ba77c11c1eb642f552aa3718ee3f6ad4bf598ee50167bf9ce",
+            "f7d4b9d062b0c93aff3ce4a3f829676d98487f744f22f1464b579e8bceca0e57",
         ),
         (
             "check",
             "bcd956b4737b699cb948d708db56615932851cb8cd457fbe5e46253d35bfac51",
+            "bcd956b4737b699cb948d708db56615932851cb8cd457fbe5e46253d35bfac51",
+        ),
+        (
+            "estimate",
+            "40e72a9bf4b240968403215a12405ed4f11e83cc2154ef3998d061003c790721",
+            "906deec83bbe547b1c43ca7b6d0275591d3d230d8a8b27af7d69b50a85e4c46e",
+        ),
+        (
+            "entropy",
+            "f4c7b3138548671d53b2e60f4c54814b963f064bcf3b80aca5c8e7b41c3f9b10",
+            "056f907b6f013b83db7510a65493371ff970e53859817e428b1ba612aab08ab0",
+        ),
+        (
+            "probe",
+            "2284ed69a248601fe09dd3008afb856ad6e5e8d465ade7a51759a626e5121efd",
+            "454d98626a125766a28f3fc7efb0e6220eed1f2d0e29ffcc397bb0db243081f0",
+        ),
+        (
+            "limit",
+            "d16c3d4b2ba54f038e8ad8afe3e6c0562e165c753b681ca26f268e99700df4d4",
+            "fd4e0e77797687abdcf0a9e177b27c9c57ea6b89ed1568e45540edec00beaf57",
         ),
     ],
 )
-def test_cli_report_digest(tmp_path, capsys, command, digest):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(_CLI_CONFIGS[command]))
-    out = tmp_path / "r.json"
-    assert main([command, "--config", str(config), "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+def test_cli_report_digest(tmp_path, monkeypatch, capsys, command, digest, stdout_digest):
+    # relative paths, so that the "wrote r.json" line holds no temporary directory
+    monkeypatch.chdir(tmp_path)
+    pts = np.random.default_rng(31).random((30, 2))
+    (tmp_path / "points.csv").write_text("".join(f"{x!r},{y!r}\n" for x, y in pts.tolist()))
+    (tmp_path / "config.json").write_text(json.dumps(_CLI_CONFIGS[command]))
+    assert main([command, "--config", "config.json", "--out", "r.json"]) == 0
+    captured = capsys.readouterr()
+    # check keeps its stdout one JSON document, so it reports the write on stderr
+    assert captured.err == ("wrote r.json\n" if command == "check" else "")
+    assert hashlib.sha256((tmp_path / "r.json").read_bytes()).hexdigest() == digest
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == stdout_digest
