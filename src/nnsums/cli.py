@@ -18,12 +18,12 @@ check     model, alpha: float, q: int = 1
 limit     model, j: int = 1, tol: float = 1e-6, alpha: float | phi: str
 
 --out writes the report to a .csv or .json file, .json only for check and
-limit. Its suffix is checked before the run, and the report is written
-before a line is printed, so a run that exits 2 prints nothing on stdout.
-"wrote PATH" follows the lines, on stderr for check so that its stdout
-stays one JSON document. --seed (converge, diverge, entropy, probe)
-overrides the config seed, and --force (converge, diverge, entropy) runs
-past a refused condition.
+limit. Its suffix and its directory are checked before the run, and the
+report is written before a line is printed, so a run that exits 2 prints
+nothing on stdout. "wrote PATH" follows the lines, on stderr for check so
+that its stdout stays one JSON document. --seed (converge, diverge,
+entropy, probe) overrides the config seed, and --force (converge, diverge,
+entropy) runs past a refused condition.
 
 The same interface runs as the ``nnsums`` console script declared in
 ``pyproject.toml`` and, from a source checkout, as ``python -m nnsums``
@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .conditions import condition_report
@@ -302,6 +303,8 @@ def main(argv=None) -> int:
     try:
         if args.out and not args.out.endswith(suffixes):
             raise ConfigError(f"output path must end in {' or '.join(suffixes)}, got {args.out}")
+        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise ConfigError(f"output directory of {args.out} does not exist")
         lines, report = handler(args)
         if args.out and isinstance(report, ExperimentResult):
             report.write(args.out)

@@ -253,7 +253,7 @@ class DensityModel(ABC):
 
 
 #: The outer integrals hand h no intensity at or below this one: the radial
-#: ones stop there and count the rest, the shell series drops it. Above it the
+#: rule and the shell series both stop there and count the rest. Above it the
 #: j-th neighbor distance, about g^(-1/d), stays finite in floating point,
 #: and so does phi of it for every power phi whose limit is finite.
 _MIN_INTENSITY = 1e-300
@@ -386,7 +386,7 @@ class UniformConvexUnion(DensityModel):
         return True
 
     def shell_regularity(self):
-        return False  # annulus masses vanish beyond the bounding radius
+        return False  # a compact support refuses the annulus masses
 
     def to_config(self):
         bodies = []
@@ -547,7 +547,8 @@ class AnnulusBallCounterexample(DensityModel):
     offset uniform in the unit ball (:func:`_unit_ball_sample`), and adds
     3 * 2^(k-1) to its first coordinate. That center is +inf in floating
     point from k = 1024 on, and P(k >= 1024) = 2^(-1022 r), so a rate below
-    53/1022 is refused: at the bound that probability is 2^-53.
+    53/1022 is refused: at the bound that probability is 2^-53. A rate at
+    which C or C * omega_d overflows, from about r = 512 on, is refused too.
     """
 
     name = "counterexample"
@@ -564,8 +565,11 @@ class AnnulusBallCounterexample(DensityModel):
             )
         self.r = r
         self._omega = unit_ball_volume(dim)
-        # sum_{k>=2} 2^(-r k) = 2^(-2r) / (1 - 2^(-r))
+        # sum_{k>=2} 2^(-r k) = 2^(-2r) / (1 - 2^(-r)); C = 1 / (omega_d times
+        # it) and C * omega_d, a factor of every shell mass, must be finite
         shell_sum = 2.0 ** (-2.0 * r) / (1.0 - 2.0 ** (-r))
+        if not min(1.0, self._omega) * shell_sum > 2.0**-1024:
+            raise ValueError(f"decay rate r={r} is too large: the density constant C overflows")
         self.c_norm = 1.0 / (self._omega * shell_sum)
 
     def center_coordinate(self, k):
@@ -616,28 +620,21 @@ class AnnulusBallCounterexample(DensityModel):
         return self.c_norm * self._omega * 2.0 ** (-self.r * k)
 
     def expect_of_intensity(self, h, tol):
-        # h takes every shell above the cutoff in one call; the series
-        # must settle before the last of them
+        # h takes every shell above the cutoff in one call; the shells past the
+        # last count as one geometric tail, at the ratio of the last two terms
         decay = 2.0 ** (-self.r * np.arange(2, 503))
         intensity = self.c_norm * decay
         keep = intensity > _MIN_INTENSITY
         terms = self.c_norm * self._omega * decay[keep] * h(intensity[keep])
-        total = 0.0
-        prev = None
-        decreasing_run = 0
-        for term in terms.tolist():
-            total += term
-            if prev is not None and abs(term) < abs(prev):
-                decreasing_run += 1
-                ratio = abs(term) / abs(prev) if prev else 0.0
-                if decreasing_run >= 3 and ratio < 1.0:
-                    tail_bound = abs(term) * ratio / (1.0 - ratio)
-                    if tail_bound < 0.5 * tol * max(1.0, abs(total)):
-                        return total, tail_bound
-            else:
-                decreasing_run = 0
-            prev = term
-        raise QuadratureBudgetExceeded("shell series did not settle within budget")
+        total = float(np.sum(terms))
+        prev, last = terms[-2:].tolist()
+        tail = 0.0
+        if last:
+            q = abs(last / prev) if prev else math.inf
+            tail = last * q / (1.0 - q) if q < 1.0 else math.inf
+        if not abs(tail) < 0.5 * tol * max(1.0, abs(total)):
+            raise QuadratureBudgetExceeded("shell series did not settle within budget")
+        return total + tail, abs(tail)
 
     @property
     def sup_pdf(self):

@@ -245,8 +245,6 @@ def mann_kendall_increasing(values) -> MannKendallResult:
     s = sum(
         (vals[b] > vals[a]) - (vals[b] < vals[a]) for a in range(m) for b in range(a + 1, m)
     )
-    if m < 3:
-        return MannKendallResult(s=s, p_increasing=1.0 if s <= 0 else 0.5)
     if m <= 8:
         multiplicities = list(Counter(vals).values())
         untied = m * (m - 1) // 2 - sum(g * (g - 1) // 2 for g in multiplicities)

@@ -25,7 +25,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial import Delaunay, QhullError
 
-from .neighbors import _sq_dists_to, _weighted_sum
+from .neighbors import _power, _sq_dists_to, _weighted_sum
 from .points import PointSet
 
 #: The Delaunay path needs every Delaunay edge longer than this fraction of
@@ -180,7 +180,8 @@ def l_power_nn(xs: PointSet, b: float, j: int = 1) -> float:
     """Unnormalized neighbor power sum: sum over points of D_j(x)^b.
 
     Zero when the set has at most j points (every D_j is 0 by convention).
-    Raises :class:`~nnsums.errors.DegenerateStatistic` when a summand or the
-    sum is not finite, as for b < 0 on tied points.
+    Raises ``ValueError`` for a non-finite b, as :func:`statistic_power`
+    does, and :class:`~nnsums.errors.DegenerateStatistic` when a summand or
+    the sum is not finite, as for b < 0 on tied points.
     """
-    return _weighted_sum(xs, j, lambda t: t**b, scale=False)
+    return _weighted_sum(xs, j, _power(b), scale=False)

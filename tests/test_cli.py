@@ -526,8 +526,13 @@ def test_bad_suffix_is_refused_before_the_run(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr("nnsums.cli.run_convergence", no_run)
     payload = _KIND_CASES["converge"][0]
-    assert _run_config(tmp_path, "converge", payload, "--out", str(tmp_path / "r.txt")) == 2
-    assert "must end in .csv or .json" in capsys.readouterr().err
+    for out, message in [
+        (tmp_path / "r.txt", "must end in .csv or .json"),
+        (tmp_path / "missing_dir" / "r.json", "does not exist"),
+    ]:
+        assert _run_config(tmp_path, "converge", payload, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert message in err and str(out) in err
 
 
 # the largest shell index drawn per model: it keeps the witness sizes
@@ -587,6 +592,8 @@ def _assert_finite_numbers(value):
 @example(("diverge", {"model": "gaussian", "d": 2, "alpha": 1.0, "k_grid": [3]}, ["--force"]))
 @example(("diverge", dict(COUNTER, r=10.0, alpha=1.5, k_grid=[107]), ["--force"]))
 @example(("diverge", dict(POWER, beta=2.5, alpha=1.5, k_grid=[1100]), ["--force"]))
+# a rate whose density constant overflows, refused (exit 2)
+@example(("check", dict(COUNTER, r=600.0, alpha=1.0), []))
 def test_cli_either_reports_finite_numbers_or_refuses(run):
     # the contract of every model-based subcommand: exit 0 with only finite
     # numbers on stdout and in the report, or exit 2 with an error message

@@ -89,6 +89,12 @@ def test_counterexample_rejects_bad_rate():
         AnnulusBallCounterexample(2, 0.01)
     with pytest.raises(ConfigError, match="r=0.01 is below 53/1022"):
         model_from_config({"model": "counterexample", "d": 2, "r": 0.01})
+    # C = 1 / (omega_d * 2^(-2r) / (1 - 2^(-r))) overflows from about r = 512
+    for r in (520.0, 600.0):
+        with pytest.raises(ValueError, match=f"r={r} is too large"):
+            AnnulusBallCounterexample(2, r)
+        with pytest.raises(ConfigError, match=f"r={r} is too large"):
+            model_from_config({"model": "counterexample", "d": 2, "r": r})
     for r in (53 / 1022, 0.5, 1.0, 2.0):
         model = AnnulusBallCounterexample(2, r)
         assert np.isfinite(model.sample(np.random.default_rng(3), 20000)).all()

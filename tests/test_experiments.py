@@ -150,6 +150,9 @@ def test_mann_kendall_handles_ties():
 def test_mann_kendall_short_sequences():
     assert mann_kendall_increasing([1.0, 2.0]).p_increasing == 0.5
     assert mann_kendall_increasing([2.0, 1.0]).p_increasing == 1.0
+    for values in ([], [1.0], [1.0, 1.0]):
+        result = mann_kendall_increasing(values)
+        assert (result.s, result.p_increasing) == (0, 1.0)
 
 
 def _s_stat(seq) -> int:

@@ -262,7 +262,7 @@ def test_poisson_expectation_rejects_nonpositive_intensity():
 
 
 def test_limit_functional_normalization():
-    # phi == 1 integrates the density itself
+    # phi == 1 integrates the density itself, and phi == 0 gives 0
     models = [
         UniformConvexUnion.unit_cube(2),
         AnnulusBallCounterexample(2, 1.0),
@@ -270,9 +270,8 @@ def test_limit_functional_normalization():
     for d in (1, 2, 3):
         models += [GaussianStandard(d), PowerLawTail(d, 6.0)]
     for model in models:
-        assert limit_functional(lambda t: np.ones_like(t), model, j=1) == pytest.approx(
-            1.0, abs=1e-6
-        )
+        for phi, limit in [(np.ones_like, 1.0), (np.zeros_like, 0.0)]:
+            assert limit_functional(phi, model, j=1) == pytest.approx(limit, abs=1e-6)
 
 
 def test_limit_functional_uniform_alpha_one():
@@ -325,6 +324,33 @@ def test_limit_functional_heavy_tail_is_exact_or_refused(model):
             continue
         assert value == pytest.approx(closed, rel=1e-6), gap
         returned += 1
+    assert returned >= 2
+
+
+@pytest.mark.parametrize("r", [0.06, 0.5, 1.0, 3.0])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_counterexample_limit_is_exact_or_refused(d, r):
+    # The shell series sums every shell above the intensity cutoff and counts
+    # the rest as one geometric tail. Its terms fall like 2^(-r (1 - alpha/d) k),
+    # so at r = 0.06 and alpha = d - 0.5 the shells past the last hold at
+    # least 2^-15 of the limit: that tail must be refused, not undercounted.
+    model = AnnulusBallCounterexample(d, r)
+    returned = 0
+    for alpha in (-0.5, 0.5, 1.0, 1.5, 2.0, 2.5):
+        if alpha >= d:
+            continue
+        for j in (1, 2):
+            closed = gamma_constant(d, j, alpha) * model.i_rho(1.0 - alpha / d)
+            if r == 0.06 and alpha == d - 0.5:
+                with pytest.raises(QuadratureBudgetExceeded):
+                    limit_functional(lambda t: t**alpha, model, j=j)
+                continue
+            try:
+                value = limit_functional(lambda t: t**alpha, model, j=j)
+            except QuadratureBudgetExceeded:
+                continue
+            assert abs(value - closed) <= 1e-6 * max(1.0, abs(closed)), (alpha, j)
+            returned += 1
     assert returned >= 2
 
 

@@ -257,6 +257,14 @@ def test_l_power_nn_names_overflowed_distances():
         l_power_nn(xs, -1.0)
 
 
+@pytest.mark.parametrize("b", [math.inf, -math.inf, math.nan])
+def test_l_power_nn_refuses_a_non_finite_exponent(b):
+    # the exponent rule of the power statistic: inf once summed to 0.0, and
+    # -inf and NaN blamed tied points
+    with pytest.raises(ValueError, match="must be finite"):
+        l_power_nn(PointSet([[0.0], [0.3], [0.5]]), b)
+
+
 def test_growth_bound():
     # L^b <= C * diam^b * n^{(d-b)/d} with C = 2 for d=2, j=1, b=1;
     # the worst ratio seen over this battery is about 0.70
