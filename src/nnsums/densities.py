@@ -118,16 +118,31 @@ class Ball:
 def _unit_ball_sample(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     """n points uniform in the unit ball of R^d, by rejection from [-1, 1]^d.
 
-    Each round draws one candidate per missing point and keeps those inside
-    the ball, so the stream of draws depends only on n, d and the seed.
+    The points are the first n candidates inside the ball, and the
+    generator is left just past the n-th: exactly what drawing one
+    candidate per missing point, round by round, consumes. A round here
+    draws ahead, (need + 2 sqrt(need) + 2) / P(inside) candidates for the
+    ``need`` missing points but at most 2 * need + 1024 (at d = 10 one in
+    400 lands inside). If it holds them, the bit generator goes back to the
+    state saved before the round and draws again the doubles up to the last
+    point kept, which works for every bit generator and keeps a buffered
+    32-bit value; a round that comes up short keeps all it found.
     """
+    accept = unit_ball_volume(d) / 2.0**d
     out = np.empty((n, d))
     got = 0
     while got < n:
-        v = 2.0 * rng.random((n - got, d)) - 1.0
-        v = v[(v * v).sum(axis=-1) <= 1.0]
-        out[got : got + len(v)] = v
-        got += len(v)
+        need = n - got
+        size = min(math.ceil((need + 2.0 * math.sqrt(need) + 2.0) / accept), 2 * need + 1024)
+        state = rng.bit_generator.state
+        v = 2.0 * rng.random((size, d)) - 1.0
+        inside = ((v * v).sum(axis=-1) <= 1.0).nonzero()[0]
+        if len(inside) >= need:
+            inside = inside[:need]
+            rng.bit_generator.state = state
+            rng.random(int(inside[-1] + 1) * d)
+        out[got : got + len(inside)] = v[inside]
+        got += len(inside)
     return out
 
 
@@ -602,12 +617,16 @@ class AnnulusBallCounterexample(DensityModel):
             # countably many balls of equal volume: f^rho does not integrate
             return math.inf
         rr = self.r * rho
-        return (
-            self._omega
-            * self.c_norm**rho
-            * 2.0 ** (-2.0 * rr)
-            / (1.0 - 2.0 ** (-rr))
-        )
+        try:
+            value = self._omega * self.c_norm**rho * 2.0 ** (-2.0 * rr) / (1.0 - 2.0 ** (-rr))
+        except OverflowError:
+            value = math.inf
+        if math.isinf(value):
+            # C^rho overflows long before the integral does (C is about
+            # 2^(2r) / omega_d): with sup_pdf = C 2^(-2r), the same value is
+            # omega_d sup_pdf^rho / (1 - 2^(-r rho))
+            value = self._omega * self.sup_pdf**rho / (1.0 - 2.0 ** (-rr))
+        return value
 
     def critical_moment(self):
         return self.r

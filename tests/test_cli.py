@@ -594,6 +594,9 @@ def _assert_finite_numbers(value):
 @example(("diverge", dict(POWER, beta=2.5, alpha=1.5, k_grid=[1100]), ["--force"]))
 # a rate whose density constant overflows, refused (exit 2)
 @example(("check", dict(COUNTER, r=600.0, alpha=1.0), []))
+# a rate at which C^rho overflows although I_rho is below 1 (exit 0)
+@example(("limit", dict(COUNTER, r=300.0, alpha=-1.5), []))
+@example(("converge", dict(COUNTER, r=300.0, alpha=-1.5, n_grid=[8, 16], replications=2), []))
 def test_cli_either_reports_finite_numbers_or_refuses(run):
     # the contract of every model-based subcommand: exit 0 with only finite
     # numbers on stdout and in the report, or exit 2 with an error message

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -282,6 +284,79 @@ def test_counterexample_sample_matches_reference_rejection(d, r, n):
     _assert_same_draws(lambda rng: model.sample(rng, n), reference, range(200))
 
 
+def _round_by_round_unit_ball_sample(rng, n, d):
+    # the unit-ball sampler before it drew ahead: each round draws one
+    # candidate per missing point and keeps those inside the ball
+    out = np.empty((n, d))
+    got = 0
+    while got < n:
+        v = 2.0 * rng.random((n - got, d)) - 1.0
+        v = v[(v * v).sum(axis=-1) <= 1.0]
+        out[got : got + len(v)] = v
+        got += len(v)
+    return out
+
+
+def _same_state(a, b) -> bool:
+    # bit generator states are dicts of ints, strings and (MT19937, Philox) arrays
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+def _assert_ball_sample_as_round_by_round(make_rng, n, d):
+    rng, ref_rng = make_rng(), make_rng()
+    got = densities._unit_ball_sample(rng, n, d)
+    want = _round_by_round_unit_ball_sample(ref_rng, n, d)
+    assert np.array_equal(got, want), (n, d)
+    assert _same_state(rng.bit_generator.state, ref_rng.bit_generator.state), (n, d)
+
+
+_BALL_SIZES = [*range(1, 41), 63, 64, 65, 127, 128, 129, 255, 256, 257, 500, 1000, 1999, 2000]
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_unit_ball_sample_draws_as_round_by_round(d):
+    # the draw-ahead rounds rewind to just past the n-th candidate kept
+    for n in _BALL_SIZES:
+        for seed in range(3):
+            _assert_ball_sample_as_round_by_round(lambda: np.random.default_rng([seed, n, d]), n, d)
+
+
+@pytest.mark.parametrize(
+    "bit_generator", [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64]
+)
+@pytest.mark.parametrize("buffered", [False, True])
+def test_unit_ball_sample_rewinds_every_bit_generator(bit_generator, buffered):
+    def make_rng(seed):
+        rng = np.random.Generator(bit_generator(seed))
+        if buffered:
+            # a 32-bit draw leaves half of a 64-bit output in the generator's
+            # buffer, which the rewind must keep
+            rng.integers(0, 1000, dtype=np.uint32)
+        return rng
+
+    if buffered and bit_generator is not np.random.MT19937:
+        assert make_rng(0).bit_generator.state["has_uint32"] == 1
+    for d in (1, 2, 3, 5, 7):
+        for n in (1, 2, 3, 17, 256, 2000):
+            _assert_ball_sample_as_round_by_round(lambda: make_rng(n * 10 + d), n, d)
+
+
+def test_unit_ball_sample_round_memory_is_capped():
+    # at d = 10 one candidate in 400 lands inside: an uncapped draw-ahead
+    # round would hold about 400 times the points of the round-by-round one
+    peaks = []
+    for sample in (densities._unit_ball_sample, _round_by_round_unit_ball_sample):
+        tracemalloc.start()
+        try:
+            sample(np.random.default_rng(3), 10_000, 10)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 3 * peaks[1], peaks
+
+
 @pytest.mark.parametrize(
     "ball",
     [
@@ -492,6 +567,30 @@ def test_counterexample_i_rho_closed_form_vs_partial_sums(catalog):
         )
         assert c.i_rho(rho) == pytest.approx(partial, rel=1e-10)
         assert c.i_rho_is_finite(rho)
+
+
+def test_counterexample_i_rho_where_c_to_the_rho_overflows():
+    # C is about 2^(2r) / omega_d, so C^rho overflows from about r = 512 / rho
+    # while the integral omega_d sup_pdf^rho / (1 - 2^(-r rho)) stays below 1
+    for d, r, rho in [(2, 300.0, 1.75), (1, 400.0, 1.5), (3, 500.0, 1.1), (2, 100.0, 6.0)]:
+        c = AnnulusBallCounterexample(d, r)
+        with pytest.raises(OverflowError):
+            c.c_norm**rho
+        want = unit_ball_volume(d) * c.sup_pdf**rho / (1.0 - 2.0 ** (-r * rho))
+        assert c.i_rho(rho) == want and math.isfinite(want)
+        # log omega_d + rho log(C 2^(-2r)); 1 - 2^(-r rho) is 1 in double precision
+        log_want = math.log(unit_ball_volume(d)) + rho * (math.log(c.c_norm) - 2 * r * math.log(2))
+        assert math.log(c.i_rho(rho)) == pytest.approx(log_want, rel=1e-12, abs=1e-12)
+    # every value C^rho does not overflow stays the product it was
+    for d, r, rho in itertools.product((1, 2, 3), (0.06, 1.0, 30.0, 300.0), (0.5, 1.0, 1.5, 3.0)):
+        c = AnnulusBallCounterexample(d, r)
+        try:
+            product = c.c_norm**rho
+        except OverflowError:
+            continue
+        rr = r * rho
+        want = unit_ball_volume(d) * product * 2.0 ** (-2.0 * rr) / (1.0 - 2.0 ** (-rr))
+        assert c.i_rho(rho) == want, (d, r, rho)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
+import argparse
 import itertools
 import json
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from nnsums import (
     DegenerateStatistic,
     DivergenceSchedule,
     EstimatorConfig,
+    ExperimentResult,
     GaussianStandard,
     InvalidRho,
     PointSet,
@@ -25,7 +28,7 @@ from nnsums import (
     run_moment_probe,
     statistic_power,
 )
-from nnsums import experiments, neighbors
+from nnsums import cli, experiments, neighbors
 
 UNIFORM = UniformConvexUnion.unit_cube(2)
 CX = AnnulusBallCounterexample(2, 1.0)
@@ -310,6 +313,65 @@ def test_write_json_refuses_non_finite(tmp_path):
     assert not path.exists()
 
 
+def _assert_writes_indented_dump(result, path):
+    # write_json encodes the rows through json's C encoder; its bytes must be
+    # those of the plain indented dump
+    result.write_json(path)
+    want = json.dumps(result.to_json_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    assert path.read_bytes() == want.encode()
+
+
+def _estimate_report(tmp_path, weight):
+    points = tmp_path / "points.csv"
+    points.write_text("0.0,0.0\n1.0,0.5\n0.25,2.0\n3.0,1.0\n")
+    config = tmp_path / "estimate.json"
+    config.write_text(json.dumps({"points": str(points), **weight}))
+    _, result = cli._cmd_estimate(argparse.Namespace(config=str(config)))
+    assert len(result.records) == 1
+    return result
+
+
+def test_write_json_equals_the_indented_dump(tmp_path):
+    results = {
+        "converge": run_convergence(_config(n_grid=(20, 40), replications=3)),
+        "diverge": run_divergence(CX, 1.5, range(2, 6), 3, 7)[1],
+        "entropy": run_entropy(_config(n_grid=(20, 40), replications=3), rho=0.5),
+        "probe": run_moment_probe(_config(model=CX, n_grid=(4, 9), replications=2), p=2.0),
+        "estimate_alpha": _estimate_report(tmp_path, {"alpha": 1.0}),
+        "estimate_phi": _estimate_report(tmp_path, {"phi": "sqrt"}),
+        "no_rows": ExperimentResult("probe", "gaussian", d=2, j=1, alpha=1.0, q=1, target=None),
+        # strings escaped on both paths, and a nested "rows" key
+        "escapes": ExperimentResult(
+            experiment='x"\n\\',
+            model_name="mod\u00e9l\u2028",
+            d=3,
+            j=2,
+            alpha=None,
+            q=2,
+            target="t\tz",
+            records=[experiments.RunRecord(n=5, replication=0, value=-0.0)],
+            trend={"rows": [], "nested": {"rows": [1, 2]}, "s": "}\n  ]"},
+            phi="\u2603",
+        ),
+    }
+    for name, result in results.items():
+        _assert_writes_indented_dump(result, tmp_path / f"{name}.json")
+
+
+@pytest.mark.parametrize("where", ["row", "summary"])
+def test_write_json_refuses_nan_and_leaves_no_file(tmp_path, where):
+    result = run_convergence(_config(n_grid=(50,), replications=2))
+    if where == "row":
+        result.records[1] = replace(result.records[1], value=math.nan)
+    else:
+        result.summaries[0] = replace(result.summaries[0], mean=math.nan)
+    path = tmp_path / "out.json"
+    path.write_text("an earlier report\n")
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        result.write_json(path)
+    assert not path.exists()
+
+
 # ---------------------------------------------------------------------------
 # divergence runs
 
@@ -488,6 +550,15 @@ def test_probe_bounded_under_safe_conditions():
 
 def _stream(seed, n, rep, attempt):
     return np.random.default_rng(np.random.SeedSequence((seed, n, rep, attempt)))
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3])
+def test_stream_seeds_from_the_words_of_the_tuple(seed):
+    # the sweep seeds from a uint32 word array; it must draw the tuple's stream
+    for n, rep, attempt in [(2, 0, 0), (256, 149, 5), (2**24, 2**32 - 1, 2**32), (1, 7, 2**40)]:
+        got, want = experiments._stream(seed, n, rep, attempt), _stream(seed, n, rep, attempt)
+        assert got.random(16).tolist() == want.random(16).tolist()
+        assert got.bit_generator.state == want.bit_generator.state
 
 
 def _one_tree_each(model, n, j, alpha, seed, replications):
