@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import betainc, gammainc
 
 from .errors import ConfigError, QuadratureBudgetExceeded
-from .limits import _adaptive_gauss, unit_ball_volume
+from .limits import _adaptive_gauss, _exp_or_refuse, _log_unit_ball_volume, unit_ball_volume
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +127,16 @@ def _unit_ball_sample(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     state saved before the round and draws again the doubles up to the last
     point kept, which works for every bit generator and keeps a buffered
     32-bit value; a round that comes up short keeps all it found.
+
+    Raises :class:`ConfigError` from d = 13 on, where more than 2^12
+    candidates per point are expected (omega_d / 2^d is 3.6e-6 at d = 16).
     """
     accept = unit_ball_volume(d) / 2.0**d
+    if accept < 2.0**-12:
+        raise ConfigError(
+            f"cannot sample the unit ball in d = {d}: rejection from the cube "
+            f"draws {1.0 / accept:.3g} candidates per point, past the cap of 2^12"
+        )
     out = np.empty((n, d))
     got = 0
     while got < n:
@@ -144,6 +152,19 @@ def _unit_ball_sample(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
         out[got : got + len(inside)] = v[inside]
         got += len(inside)
     return out
+
+
+def _i_rho_or_refuse(rho: float, direct, log_of) -> float:
+    """A finite I_rho as ``direct()`` evaluates it, or exp(``log_of()``)
+    where that product overflows although its logarithm does not. Raises
+    :class:`ConfigError` naming rho when the logarithm overflows too."""
+    try:
+        value = direct()
+    except OverflowError:
+        value = math.inf
+    if math.isinf(value):
+        value = _exp_or_refuse(log_of(), f"I_rho at rho = {rho!r}")
+    return value
 
 
 def _bodies_overlap(a, b) -> bool:
@@ -198,7 +219,9 @@ class DensityModel(ABC):
         """Integral of f^rho over the support; ``math.inf`` when divergent.
 
         Orders rho <= 0 only make sense on bounded supports with the pdf
-        bounded away from zero; elsewhere the integral is infinite.
+        bounded away from zero; elsewhere the integral is infinite. A finite
+        integral past the largest float raises :class:`ConfigError` naming
+        rho.
         """
 
     def i_rho_is_finite(self, rho: float) -> bool:
@@ -373,7 +396,11 @@ class UniformConvexUnion(DensityModel):
 
     def i_rho(self, rho):
         # exact for every real rho: the pdf is constant on a bounded support
-        return self.total_volume ** (1.0 - rho)
+        return _i_rho_or_refuse(
+            rho,
+            lambda: self.total_volume ** (1.0 - rho),
+            lambda: (1.0 - rho) * math.log(self.total_volume),
+        )
 
     def critical_moment(self):
         return math.inf
@@ -469,7 +496,12 @@ class GaussianStandard(_RadialModel):
     def i_rho(self, rho):
         if rho <= 0:
             return math.inf
-        return rho ** (-self.dim / 2.0) * (2.0 * math.pi) ** (self.dim * (1.0 - rho) / 2.0)
+        half = self.dim / 2.0
+        return _i_rho_or_refuse(
+            rho,
+            lambda: rho ** (-half) * (2.0 * math.pi) ** (self.dim * (1.0 - rho) / 2.0),
+            lambda: -half * math.log(rho) + half * (1.0 - rho) * math.log(2.0 * math.pi),
+        )
 
     def critical_moment(self):
         return math.inf
@@ -528,7 +560,14 @@ class PowerLawTail(_RadialModel):
         # c_beta^rho * d * omega_d * B(d, beta * rho - d), as for c_beta at rho = 1
         b = self.beta * rho
         log_b = math.lgamma(self.dim) + math.lgamma(b - self.dim) - math.lgamma(b)
-        return self.c_beta**rho * self.dim * unit_ball_volume(self.dim) * math.exp(log_b)
+        return _i_rho_or_refuse(
+            rho,
+            lambda: self.c_beta**rho * self.dim * unit_ball_volume(self.dim) * math.exp(log_b),
+            lambda: rho * math.log(self.c_beta)
+            + math.log(self.dim)
+            + _log_unit_ball_volume(self.dim)
+            + log_b,
+        )
 
     def i_rho_is_finite(self, rho):
         return self.beta * rho > self.dim
@@ -625,7 +664,13 @@ class AnnulusBallCounterexample(DensityModel):
             # C^rho overflows long before the integral does (C is about
             # 2^(2r) / omega_d): with sup_pdf = C 2^(-2r), the same value is
             # omega_d sup_pdf^rho / (1 - 2^(-r rho))
-            value = self._omega * self.sup_pdf**rho / (1.0 - 2.0 ** (-rr))
+            value = _i_rho_or_refuse(
+                rho,
+                lambda: self._omega * self.sup_pdf**rho / (1.0 - 2.0 ** (-rr)),
+                lambda: math.log(self._omega)
+                + rho * math.log(self.sup_pdf)
+                - math.log1p(-(2.0 ** (-rr))),
+            )
         return value
 
     def critical_moment(self):

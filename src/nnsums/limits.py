@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainccinv
 
-from .errors import InvalidGammaArgument, InvalidRho, QuadratureBudgetExceeded
+from .errors import ConfigError, InvalidGammaArgument, InvalidRho, QuadratureBudgetExceeded
 from .neighbors import _elementwise
 
 
@@ -51,6 +51,20 @@ def unit_ball_volume(d: int) -> float:
 
 def _log_unit_ball_volume(d: int) -> float:
     return 0.5 * d * math.log(math.pi) - math.lgamma(1 + d / 2)
+
+
+def _exp_or_refuse(log_value: float, quantity: str) -> float:
+    """exp(log_value), for a closed form taken in log space.
+
+    Raises :class:`ConfigError` naming ``quantity`` when the logarithm
+    exceeds log(max float), so the value does too.
+    """
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise ConfigError(
+            f"{quantity} exceeds the largest float: its logarithm is {log_value:.6g}"
+        ) from None
 
 
 def _check_poisson_law(tau, d: int, j: int, alpha: float = 0.0) -> None:
@@ -83,10 +97,15 @@ def gamma_constant(d: int, j: int, alpha: float) -> float:
 
 
 def poisson_nn_moment(tau: float, d: int, j: int, alpha: float) -> float:
-    """E[D_j^alpha] = (tau * omega_d)^(-alpha/d) * Gamma(j + alpha/d) / Gamma(j)."""
+    """E[D_j^alpha] = (tau * omega_d)^(-alpha/d) * Gamma(j + alpha/d) / Gamma(j).
+
+    Raises :class:`ConfigError` naming alpha where the moment exceeds the
+    largest float.
+    """
     _check_poisson_law(tau, d, j, alpha)
     log_scale = math.log(tau) + _log_unit_ball_volume(d)
-    return math.exp(-(alpha / d) * log_scale + math.lgamma(j + alpha / d) - math.lgamma(j))
+    log_value = -(alpha / d) * log_scale + math.lgamma(j + alpha / d) - math.lgamma(j)
+    return _exp_or_refuse(log_value, f"E[D_{j}^alpha] at alpha = {alpha!r}")
 
 
 def sample_poisson_nn_distances(

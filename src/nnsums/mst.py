@@ -8,7 +8,9 @@ every minimum spanning tree edge (Shamos & Hoey, 1975), at an expected
 O(n log n) cost. Elsewhere, and on inputs Qhull cannot triangulate
 cleanly, Prim runs over the complete graph, computing each row of squared
 distances when its vertex joins the tree, so memory is O(n) and time
-O(n^2). Both paths return the same edge tuple. Alongside the tree sits
+O(n^2). Both paths return the same three arrays, endpoints and lengths
+in discovery order, with no tuple per edge; ``EdgeList.edges`` builds
+the (i, j, length) tuples on demand. Alongside the tree sits
 the unnormalized neighbor power sum L^b = sum_x D_j(x)^b, which shares
 the tree's subadditivity geometry and is the quantity the growth
 diagnostics are phrased in.
@@ -33,23 +35,38 @@ from .points import PointSet
 _MIN_SEPARATION = 1e-7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeList:
-    """Edges (i, j, length) of a spanning tree, i < j, in discovery order.
+    """A spanning tree as three read-only arrays, in discovery order.
 
-    The order of ``edges`` is part of the contract: Prim's discovery order
-    from vertex 0 under the strict order (squared length, i, j).
+    Edge k joins ``i[k] < j[k]`` (intp) and has length ``length[k]``
+    (float64). The order is part of the contract: Prim's discovery order
+    from vertex 0 under the strict order (squared length, i, j). Two trees
+    compare by identity; compare their ``edges`` for equal trees.
     """
 
     n_vertices: int
-    edges: tuple
+    i: np.ndarray
+    j: np.ndarray
+    length: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.i, self.j, self.length):
+            arr.setflags(write=False)
+
+    @property
+    def edges(self) -> tuple:
+        """The edges as (i, j, length) tuples of Python ints and floats,
+        built on each access."""
+        return tuple(zip(self.i.tolist(), self.j.tolist(), self.length.tolist()))
 
     @property
     def total_length(self) -> float:
-        return float(sum(e[2] for e in self.edges))
+        # left to right in discovery order, not np.sum's pairwise order
+        return float(sum(self.length.tolist()))
 
     def edge_pairs(self) -> set:
-        return {(e[0], e[1]) for e in self.edges}
+        return set(zip(self.i.tolist(), self.j.tolist()))
 
 
 def _pair(u: int, v: int) -> tuple[int, int]:
@@ -60,10 +77,10 @@ def build_mst(xs: PointSet) -> EdgeList:
     """Minimum spanning tree of the complete Euclidean graph on ``xs``.
 
     Edges are ordered strictly by (squared length, i, j), so the tree is
-    unique even on ties. ``edges`` is part of the contract: it lists the
-    tree in Prim's discovery order from vertex 0 under that order, on every
-    path, and ``test_golden.py`` pins it. Squared distances are compared;
-    each edge takes one square root at the end.
+    unique even on ties. The arrays of the :class:`EdgeList` list the tree
+    in Prim's discovery order from vertex 0 under that order, on every
+    path, and ``test_golden.py`` pins it through ``edges``. Squared
+    distances are compared; each edge takes one square root at the end.
 
     In d = 2 and 3 the search runs over the Delaunay edges only, which
     contain every minimum spanning tree edge. It falls back to the O(n^2)
@@ -72,17 +89,14 @@ def build_mst(xs: PointSet) -> EdgeList:
     when two points are closer than ``_MIN_SEPARATION`` times the longest
     Delaunay edge.
     """
-    n = len(xs)
-    if n <= 1:
-        return EdgeList(n_vertices=n, edges=())
-    edges = _delaunay_mst(xs.coords)
-    if edges is None:
+    arrays = _delaunay_mst(xs.coords)
+    if arrays is None:
         return _prim_mst(xs)
-    return EdgeList(n_vertices=n, edges=edges)
+    return EdgeList(len(xs), *arrays)
 
 
 def _delaunay_mst(coords: np.ndarray) -> tuple | None:
-    """Prim's edge tuple over the Delaunay edges, or None to fall back.
+    """Prim's (i, j, length) arrays over the Delaunay edges, or None to fall back.
 
     Every minimum spanning tree edge uv of distinct points is a Gabriel
     edge: a third point w in the closed disk on diameter uv has |uw| and
@@ -93,6 +107,11 @@ def _delaunay_mst(coords: np.ndarray) -> tuple | None:
     lengths keep both inequalities strict once no Delaunay edge is shorter
     than ``_MIN_SEPARATION`` times the longest. Closer pairs do break it:
     near-duplicate points 1e-12 apart gave a tree with a non-Delaunay edge.
+
+    The search allocates no container per edge, so the garbage collector
+    has nothing to track: the heap holds each tree edge's position in the
+    sorted order, a plain int that orders as its (len^2, i, j) key does,
+    and the incidence lists are CSR arrays.
     """
     n, d = coords.shape
     if not 2 <= d <= 3 or n <= d + 1:
@@ -116,43 +135,52 @@ def _delaunay_mst(coords: np.ndarray) -> tuple | None:
     rank = np.empty(len(order), dtype=np.float64)
     rank[order] = np.arange(1, len(order) + 1)
     tree = minimum_spanning_tree(coo_matrix((rank, (i, j)), shape=(n, n))).tocoo()
-    picked = order[tree.data.astype(np.intp) - 1]
-    adjacent = [[] for _ in range(n)]
-    for key in zip(sq[picked].tolist(), i[picked].tolist(), j[picked].tolist()):
-        adjacent[key[1]].append(key)
-        adjacent[key[2]].append(key)
-    # Prim over the tree recovers the discovery order of Prim over all pairs
-    heap = list(adjacent[0])
+    # the n - 1 tree edges in that order: edge k's key is its index k
+    picked = order[np.sort(tree.data.astype(np.intp) - 1)]
+    ti, tj, sq_tree = i[picked], j[picked].astype(np.intp), sq[picked]
+    # row v of the incidence lists the tree edges at vertex v
+    ends = np.concatenate([ti, tj])
+    by_end = np.argsort(ends, kind="stable")
+    ptr = np.searchsorted(ends[by_end], np.arange(n + 1)).tolist()
+    inc = (by_end % len(picked)).tolist()
+    first, second = ti.tolist(), tj.tolist()
+    # Prim over the tree recovers the discovery order of Prim over all pairs;
+    # in a tree only the edge just popped reaches back into it
+    heap = inc[ptr[0] : ptr[1]]
     heapq.heapify(heap)
-    in_tree = [False] * n
-    in_tree[0] = True
-    edges = []
+    in_tree = bytearray(n)
+    in_tree[0] = 1
+    found = []
     while heap:
-        s, a, b = heapq.heappop(heap)
-        edges.append((a, b, math.sqrt(s)))
-        v = b if in_tree[a] else a
-        in_tree[v] = True
-        for key in adjacent[v]:
-            if not (in_tree[key[1]] and in_tree[key[2]]):
-                heapq.heappush(heap, key)
-    return tuple(edges)
+        k = heapq.heappop(heap)
+        found.append(k)
+        v = second[k] if in_tree[first[k]] else first[k]
+        in_tree[v] = 1
+        for e in inc[ptr[v] : ptr[v + 1]]:
+            if e != k:
+                heapq.heappush(heap, e)
+    f = np.array(found, dtype=np.intp)
+    # np.sqrt and math.sqrt are both correctly rounded, so Prim's lengths keep their bits
+    return ti[f], tj[f], np.sqrt(sq_tree[f])
 
 
 def _prim_mst(xs: PointSet) -> EdgeList:
     """O(n^2) Prim over the complete graph, one distance row per new vertex."""
     n = len(xs)
+    m = max(n - 1, 0)
+    ei, ej = np.empty(m, dtype=np.intp), np.empty(m, dtype=np.intp)
+    length = np.empty(m)
     if n <= 1:
-        return EdgeList(n_vertices=n, edges=())
+        return EdgeList(n, ei, ej, length)
     coords = xs.coords
     in_tree = np.zeros(n, dtype=bool)
     in_tree[0] = True
     best_sq = _sq_dists_to(coords, coords[0])
     best_parent = np.zeros(n, dtype=int)
-    edges = []
-    for _ in range(n - 1):
+    for t in range(m):
         outside = np.flatnonzero(~in_tree)
-        m = best_sq[outside].min()
-        ties = outside[best_sq[outside] == m]
+        m_sq = best_sq[outside].min()
+        ties = outside[best_sq[outside] == m_sq]
         if len(ties) == 1:
             pick = int(ties[0])
         else:
@@ -162,8 +190,8 @@ def _prim_mst(xs: PointSet) -> EdgeList:
                 key=lambda v: _pair(int(best_parent[v]), v),
             )
         parent = int(best_parent[pick])
-        i, j = _pair(parent, pick)
-        edges.append((i, j, math.sqrt(float(best_sq[pick]))))
+        ei[t], ej[t] = _pair(parent, pick)
+        length[t] = math.sqrt(float(best_sq[pick]))
         in_tree[pick] = True
         cand = _sq_dists_to(coords, coords[pick])
         better = ~in_tree & (cand < best_sq)
@@ -173,7 +201,7 @@ def _prim_mst(xs: PointSet) -> EdgeList:
         for v in np.flatnonzero(equal):
             if _pair(pick, int(v)) < _pair(int(best_parent[v]), int(v)):
                 best_parent[v] = pick
-    return EdgeList(n_vertices=n, edges=tuple(edges))
+    return EdgeList(n, ei, ej, length)
 
 
 def l_power_nn(xs: PointSet, b: float, j: int = 1) -> float:

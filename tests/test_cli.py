@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -598,6 +599,10 @@ def _assert_finite_numbers(value):
 @example(("limit", dict(COUNTER, r=300.0, alpha=-1.5), []))
 @example(("converge", dict(COUNTER, r=300.0, alpha=-1.5, n_grid=[8, 16], replications=2), []))
 def test_cli_either_reports_finite_numbers_or_refuses(run):
+    _assert_finite_report_or_refusal(run)
+
+
+def _assert_finite_report_or_refusal(run):
     # the contract of every model-based subcommand: exit 0 with only finite
     # numbers on stdout and in the report, or exit 2 with an error message
     command, cfg, flags = run
@@ -616,6 +621,70 @@ def test_cli_either_reports_finite_numbers_or_refuses(run):
         assert not re.search(r"\b(nan|inf|infinity)\b", text, re.IGNORECASE), text
         with open(out) as fh:
             _assert_finite_numbers(json.load(fh, parse_constant=float))
+
+
+@st.composite
+def _extreme_runs(draw):
+    """A subcommand and a configuration near the ends of every parameter
+    range: d up to 40, alpha from -4000 to 1e6, beta from d + 1e-9 to
+    d + 500, r from 53/1022 to 511 and boxes of side 1e-3 to 1e3."""
+    model = draw(st.sampled_from(sorted(_CONTRACT_K_MAX)))
+    # shell 2 of the counterexample holds mass 1 - 2^-r, so n(2) <= 29; the
+    # other models' witness sizes grow without bound at these extremes
+    commands = ["converge", "entropy", "probe", "check", "limit"]
+    command = draw(st.sampled_from(commands + (["diverge"] if model == "counterexample" else [])))
+    d = draw(st.integers(1, 40))
+    cfg = {"model": model, "d": d}
+    if model == "uniform_union":
+        side = draw(st.floats(1e-3, 1e3))
+        cfg["bodies"] = [{"type": "box", "lo": [0.0] * d, "hi": [side] * d}]
+        if draw(st.booleans()):
+            ball = {"type": "ball", "center": [-2.0 * side] + [0.0] * (d - 1), "radius": side}
+            cfg["bodies"].append(ball)
+    elif model == "power_law":
+        cfg["beta"] = d + draw(st.floats(1e-9, 500.0))
+    elif model == "counterexample":
+        cfg["r"] = draw(st.floats(53 / 1022, 511.0))
+    # half the exponents are moderate, so runs at extreme d, beta, r and sides get through
+    alpha = draw(st.floats(-4000.0, 1e6) | st.floats(-0.9 * d, 2.0 * d))
+    j = draw(st.sampled_from([1, 2, 5]))
+    if command in ("check", "limit"):
+        cfg |= {"alpha": alpha} | ({"j": j} if command == "limit" else {})
+    elif command == "diverge":
+        cfg |= {"alpha": alpha, "j": j, "k_grid": [2]}
+    else:
+        sizes = draw(st.lists(st.integers(2, 32), min_size=1, max_size=2, unique=True))
+        cfg |= {"j": j, "n_grid": sorted(sizes), "replications": draw(st.integers(1, 2))}
+        if command == "entropy":
+            cfg["rho"] = 1.0 - alpha / d
+        else:
+            cfg["alpha"] = alpha
+    forced = command in ("converge", "diverge", "entropy") and draw(st.booleans())
+    return command, cfg, ["--force"] if forced else []
+
+
+_BOX_D5 = {"type": "box", "lo": [0.0] * 5, "hi": [1e-3] * 5}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_extreme_runs())
+# closed forms whose values exceed the largest float, each refused naming rho or alpha
+@example(("limit", {"model": "power_law", "d": 12, "beta": 512, "alpha": -4000, "j": 2}, []))
+@example(("limit", {"model": "uniform_union", "d": 5, "bodies": [_BOX_D5], "alpha": -4000}, []))
+@example(("limit", dict(COUNTER, d=20, r=300.0, alpha=-3980.0), []))
+@example(("converge", {"model": "gaussian", "d": 1, "alpha": 1e6, **RUN}, ["--force"]))
+# a unit ball sampled by rejection from the cube, refused from d = 13 on
+@example(("converge", dict(COUNTER, d=20, alpha=1.0, **RUN), ["--force"]))
+def test_cli_at_the_parameter_extremes_reports_finite_numbers_or_refuses(run):
+    _assert_finite_report_or_refusal(run)
+
+
+def test_forced_counterexample_run_at_d_20_is_refused_at_once(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "c.json", dict(COUNTER, d=20, alpha=1.0, **RUN))
+    start = time.monotonic()
+    assert main(["converge", "--config", cfg, "--force"]) == 2
+    assert time.monotonic() - start < 1.0
+    assert "d = 20" in capsys.readouterr().err
 
 
 def _run(argv, child_path=True):

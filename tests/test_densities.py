@@ -357,6 +357,14 @@ def test_unit_ball_sample_round_memory_is_capped():
     assert peaks[0] <= 3 * peaks[1], peaks
 
 
+def test_unit_ball_sample_refuses_past_2_to_the_12_candidates_per_point():
+    # 2^d / omega_d candidates per point: 3068 at d = 12, 8996 at d = 13
+    assert densities._unit_ball_sample(np.random.default_rng(0), 5, 12).shape == (5, 12)
+    for d in (13, 20, 40):
+        with pytest.raises(ConfigError, match=f"d = {d}:"):
+            densities._unit_ball_sample(np.random.default_rng(0), 5, d)
+
+
 @pytest.mark.parametrize(
     "ball",
     [
@@ -591,6 +599,34 @@ def test_counterexample_i_rho_where_c_to_the_rho_overflows():
         rr = r * rho
         want = unit_ball_volume(d) * product * 2.0 ** (-2.0 * rr) / (1.0 - 2.0 ** (-rr))
         assert c.i_rho(rho) == want, (d, r, rho)
+
+
+def test_i_rho_past_an_overflowing_product_is_taken_in_log_space():
+    mpmath = pytest.importorskip("mpmath")
+    # c_beta^rho alone overflows from rho = 13.05 on, the product only past 14.6
+    model = PowerLawTail(12, 512.0)
+    rho = 13.2
+    with pytest.raises(OverflowError):
+        model.c_beta**rho
+    with mpmath.workdps(40):
+        b = 512.0 * rho
+        omega = mpmath.pi**6 / 720
+        want = mpmath.mpf(model.c_beta) ** rho * 12 * omega * mpmath.beta(12, b - 12)
+    assert model.i_rho(rho) == pytest.approx(float(want), rel=1e-11)
+
+
+@pytest.mark.parametrize(
+    "model, rho",
+    [
+        (PowerLawTail(12, 512.0), 1.0 + 4000 / 12),
+        (UniformConvexUnion([Box(lo=(0.0,) * 5, hi=(1e-3,) * 5)]), 801.0),
+        (AnnulusBallCounterexample(20, 300.0), 200.0),
+        (GaussianStandard(40), 2.0**-52),
+    ],
+)
+def test_i_rho_past_the_largest_float_is_refused_naming_rho(model, rho):
+    with pytest.raises(ConfigError, match=f"rho = {rho!r}"):
+        model.i_rho(rho)
 
 
 # ---------------------------------------------------------------------------

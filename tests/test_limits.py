@@ -10,6 +10,7 @@ from scipy.special import gammaincc
 
 from nnsums import (
     AnnulusBallCounterexample,
+    ConfigError,
     EntropyValue,
     GaussianStandard,
     InvalidGammaArgument,
@@ -80,6 +81,14 @@ def test_gamma_constant_is_unit_intensity_moment():
 def test_gamma_constant_large_j_stable():
     v = gamma_constant(3, 400, 1.5)
     assert math.isfinite(v) and v > 0
+
+
+def test_gamma_constant_past_the_largest_float_is_refused_naming_alpha():
+    # Gamma(1 + 1e6) alone is about e^(1.28e7)
+    with pytest.raises(ConfigError, match="alpha = 1000000.0"):
+        gamma_constant(1, 1, 1e6)
+    with pytest.raises(ConfigError, match="alpha = 400.0"):
+        poisson_nn_moment(1e-300, 2, 1, 400.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
+import gc
+import heapq
 import itertools
+import json
 import math
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import minimum_spanning_tree as scipy_mst
+from scipy.spatial import Delaunay
 
 from nnsums import DegenerateStatistic, PointSet, build_mst, l_power_nn
 from nnsums import mst
@@ -71,6 +76,7 @@ def test_unit_square_tie_break():
 
 
 def test_trivial_sizes():
+    assert build_mst(PointSet(np.zeros((0, 2)))).edges == ()
     assert build_mst(PointSet(np.zeros((1, 2)))).edges == ()
     two = build_mst(PointSet([[0.0, 0.0], [3.0, 4.0]]))
     assert two.edge_pairs() == {(0, 1)}
@@ -173,6 +179,91 @@ def _near_duplicate_pairs():
 def test_delaunay_path_matches_prim(name):
     xs = PointSet(_equal_sets()[name])
     assert build_mst(xs).edges == mst._prim_mst(xs).edges
+
+
+def _tuple_delaunay_mst(coords):
+    """The Delaunay search as it was written with one heap tuple and one edge
+    tuple per edge, kept as the oracle of the array search's order and bits."""
+    n = len(coords)
+    tri = Delaunay(coords)
+    indptr, nbrs = tri.vertex_neighbor_vertices
+    src = np.repeat(np.arange(n), np.diff(indptr))
+    keep = src < nbrs
+    i, j = src[keep], nbrs[keep]
+    sq = mst._sq_dists_to(coords[i], coords[j].T)
+    order = np.lexsort((j, i, sq))
+    rank = np.empty(len(order), dtype=np.float64)
+    rank[order] = np.arange(1, len(order) + 1)
+    tree = scipy_mst(coo_matrix((rank, (i, j)), shape=(n, n))).tocoo()
+    picked = order[tree.data.astype(np.intp) - 1]
+    adjacent = [[] for _ in range(n)]
+    for key in zip(sq[picked].tolist(), i[picked].tolist(), j[picked].tolist()):
+        adjacent[key[1]].append(key)
+        adjacent[key[2]].append(key)
+    heap = list(adjacent[0])
+    heapq.heapify(heap)
+    in_tree = [False] * n
+    in_tree[0] = True
+    edges = []
+    while heap:
+        s, a, b = heapq.heappop(heap)
+        edges.append((a, b, math.sqrt(s)))
+        v = b if in_tree[a] else a
+        in_tree[v] = True
+        for key in adjacent[v]:
+            if not (in_tree[key[1]] and in_tree[key[2]]):
+                heapq.heappush(heap, key)
+    return tuple(edges)
+
+
+def _search_sets():
+    sets = {
+        f"uniform-{d}d-{seed}": np.random.default_rng([seed, d]).random((1500, d))
+        for d in (2, 3)
+        for seed in (7, 101, 4242)
+    }
+    sets["grid"] = _grid(15)  # ties everywhere
+    return sets
+
+
+@pytest.mark.parametrize("name", sorted(_search_sets()))
+def test_array_search_matches_the_tuple_search(monkeypatch, name):
+    monkeypatch.setattr(mst, "_prim_mst", _no_prim)
+    pts = _search_sets()[name]
+    assert build_mst(PointSet(pts)).edges == _tuple_delaunay_mst(pts)
+
+
+def test_delaunay_search_allocates_no_object_per_edge():
+    # gc's generation-0 count rises by one per container the build keeps
+    # alive; a heap tuple or an edge tuple per edge made it grow with n.
+    # The first build fills scipy's lazy caches, so it is left out.
+    build_mst(PointSet(np.random.default_rng(0).random((100, 2))))
+    grown = []
+    for n in (1200, 4800):
+        xs = PointSet(np.random.default_rng(n).random((n, 2)))
+        gc.disable()
+        try:
+            before = gc.get_count()[0]
+            tree = build_mst(xs)
+            grown.append(gc.get_count()[0] - before)
+        finally:
+            gc.enable()
+        assert len(tree.i) == n - 1
+    assert max(grown) < 100
+
+
+def test_edges_are_python_numbers_and_the_arrays_read_only():
+    tree = build_mst(PointSet(np.random.default_rng(3).random((2000, 2))))
+    rows = [list(e) for e in tree.edges]
+    assert json.loads(json.dumps(rows)) == rows
+    # the total adds the lengths left to right in discovery order
+    assert tree.total_length == sum(length for _, _, length in rows)
+    assert tree.i.dtype == tree.j.dtype == np.intp and tree.length.dtype == np.float64
+    for arr in (tree.i, tree.j, tree.length):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    # trees compare by identity, never by array truth values
+    assert tree != build_mst(PointSet(np.random.default_rng(3).random((2000, 2))))
 
 
 def _no_prim(xs):
