@@ -38,13 +38,14 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from .conditions import condition_report
 from .densities import _MODEL, _REQUIRED, _read_config
 from .errors import ConditionRefused, ConfigError, QuadratureBudgetExceeded
 from .experiments import (
     EstimatorConfig,
     ExperimentResult,
-    RunRecord,
     resolve_phi,
     run_convergence,
     run_divergence,
@@ -132,7 +133,7 @@ def _cmd_estimate(args):
         alpha=alpha,
         q=v["q"],
         target=None,
-        records=[RunRecord(n=n, replication=0, value=value)],
+        levels=[(n, np.array([value]))],
         phi=phi_name,
     )
     return lines, result

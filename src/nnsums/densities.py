@@ -144,7 +144,7 @@ def _unit_ball_sample(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
         size = min(math.ceil((need + 2.0 * math.sqrt(need) + 2.0) / accept), 2 * need + 1024)
         state = rng.bit_generator.state
         v = 2.0 * rng.random((size, d)) - 1.0
-        inside = ((v * v).sum(axis=-1) <= 1.0).nonzero()[0]
+        inside = (_squared_norms(v) <= 1.0).nonzero()[0]
         if len(inside) >= need:
             inside = inside[:need]
             rng.bit_generator.state = state
@@ -152,6 +152,24 @@ def _unit_ball_sample(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
         out[got : got + len(inside)] = v[inside]
         got += len(inside)
     return out
+
+
+def _squared_norms(v: np.ndarray) -> np.ndarray:
+    """``(v * v).sum(axis=-1)`` for d <= 12 columns, bitwise, summed by columns.
+
+    numpy reduces each short row on its own, which costs about four times
+    the column sums at d = 2. Its order is kept: left to right below 8
+    terms, and from 8 on the pairwise block of the first 8 and then the
+    rest left to right.
+    """
+    w = v * v
+    c = [w[:, i] for i in range(w.shape[1])]
+    if len(c) >= 8:
+        c = [((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7])), *c[8:]]
+    total = c[0]
+    for col in c[1:]:
+        total = total + col
+    return total
 
 
 def _i_rho_or_refuse(rho: float, direct, log_of) -> float:
@@ -545,14 +563,24 @@ class PowerLawTail(_RadialModel):
         return float(out) if out.ndim == 0 else out
 
     def sample(self, rng, n):
-        radii = rng.standard_gamma(self.dim, n) / rng.standard_gamma(self.beta - self.dim, n)
-        directions = rng.standard_normal((n, self.dim))
-        norms = np.linalg.norm(directions, axis=1)
-        while np.any(norms == 0.0):  # pragma: no cover - probability zero
-            bad = norms == 0.0
-            directions[bad] = rng.standard_normal((int(bad.sum()), self.dim))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            radii = rng.standard_gamma(self.dim, n) / rng.standard_gamma(self.beta - self.dim, n)
+            directions = rng.standard_normal((n, self.dim))
             norms = np.linalg.norm(directions, axis=1)
-        return radii[:, None] * directions / norms[:, None]
+            while np.any(norms == 0.0):  # pragma: no cover - probability zero
+                bad = norms == 0.0
+                directions[bad] = rng.standard_normal((int(bad.sum()), self.dim))
+                norms = np.linalg.norm(directions, axis=1)
+            points = radii[:, None] * directions / norms[:, None]
+        if not np.isfinite(points).all():
+            # P(Gamma(a) < x) is about x^a / Gamma(a + 1): at a small a = beta - d
+            # some draws fall below 1e-308, and their radii overflow
+            raise ConfigError(
+                f"cannot sample the power law with beta = {self.beta!r} in d = {self.dim}: "
+                f"a Gamma(beta - d = {self.beta - self.dim:.3g}) draw is too close to 0 "
+                "for its radius to be a finite float"
+            )
+        return points
 
     def i_rho(self, rho):
         if self.beta * rho <= self.dim:
@@ -656,8 +684,11 @@ class AnnulusBallCounterexample(DensityModel):
             # countably many balls of equal volume: f^rho does not integrate
             return math.inf
         rr = self.r * rho
+        # 1 - 2^(-r rho) rounds to 0 once r rho is below about 8e-17
+        tiny = 2.0 ** (-rr) == 1.0
+        gap = -math.expm1(-rr * math.log(2.0)) if tiny else 1.0 - 2.0 ** (-rr)
         try:
-            value = self._omega * self.c_norm**rho * 2.0 ** (-2.0 * rr) / (1.0 - 2.0 ** (-rr))
+            value = self._omega * self.c_norm**rho * 2.0 ** (-2.0 * rr) / gap
         except OverflowError:
             value = math.inf
         if math.isinf(value):
@@ -666,10 +697,10 @@ class AnnulusBallCounterexample(DensityModel):
             # omega_d sup_pdf^rho / (1 - 2^(-r rho))
             value = _i_rho_or_refuse(
                 rho,
-                lambda: self._omega * self.sup_pdf**rho / (1.0 - 2.0 ** (-rr)),
+                lambda: self._omega * self.sup_pdf**rho / gap,
                 lambda: math.log(self._omega)
                 + rho * math.log(self.sup_pdf)
-                - math.log1p(-(2.0 ** (-rr))),
+                - (math.log(gap) if tiny else math.log1p(-(2.0 ** (-rr)))),
             )
         return value
 

@@ -265,13 +265,6 @@ def mann_kendall_increasing(values) -> MannKendallResult:
 
 
 @dataclass(frozen=True)
-class RunRecord:
-    n: int
-    replication: int
-    value: float
-
-
-@dataclass(frozen=True)
 class SizeSummary:
     n: int
     mean: float
@@ -306,7 +299,9 @@ def _fmt(value) -> str:
 
 @dataclass
 class ExperimentResult:
-    """Per-replication records plus per-size summaries of one experiment."""
+    """One ``(n, values)`` level per sample size, in increasing n, plus
+    per-size summaries of one experiment. ``values`` is the float64 array of
+    the replications' values, in order: no object per replication."""
 
     experiment: str
     model_name: str
@@ -315,7 +310,7 @@ class ExperimentResult:
     alpha: float | None
     q: int
     target: float | str | None
-    records: list = field(default_factory=list)
+    levels: list = field(default_factory=list)
     summaries: list = field(default_factory=list)
     trend: dict = field(default_factory=dict)
     phi: str | None = None
@@ -340,16 +335,16 @@ class ExperimentResult:
         header = self._header()
         target = self._target_cell()
         numeric_target = isinstance(target, float)
-        for rec in sorted(self.records, key=lambda r: (r.n, r.replication)):
-            abs_error = abs(rec.value - target) if numeric_target else None
-            yield {
-                **header,
-                "n": rec.n,
-                "replication": rec.replication,
-                "value": rec.value,
-                "target": target,
-                "abs_error": abs_error,
-            }
+        for n, values in self.levels:
+            for rep, value in enumerate(values.tolist()):
+                yield {
+                    **header,
+                    "n": n,
+                    "replication": rep,
+                    "value": value,
+                    "target": target,
+                    "abs_error": abs(value - target) if numeric_target else None,
+                }
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -391,7 +386,7 @@ class ExperimentResult:
                 for i, row in enumerate(self.csv_rows()):
                     inner = row_json.encode(row)[1:-1]
                     fh.write((",\n" if i else "\n") + "    {\n      " + inner + "\n    }")
-                fh.write(("\n  ]" if self.records else "]") + tail + "\n")
+                fh.write(("\n  ]" if self.levels else "]") + tail + "\n")
         except ValueError:
             # A non-finite value: leave no truncated report behind.
             os.remove(path)
@@ -505,9 +500,9 @@ def _sweep(experiment: str, config: EstimatorConfig, exponent, target, scale=1.0
     Each value is the power sum with exponent ``exponent`` and rank
     ``config.j``, divided by scale * n. The result is labelled
     ``experiment`` and carries ``config``'s model, j, alpha and q, one
-    record per (n, replication) and one summary per n, whose L^q error is
-    taken against ``target`` when that is a finite float; its trend is left
-    empty for the caller.
+    level (n and the array of its values) and one summary per n, whose L^q
+    error is taken against ``target`` when that is a finite float; its
+    trend is left empty for the caller.
 
     Levels with j < n <= 128 in d <= 3 evaluate their replications in
     stacks of 1024 // n, one kd-tree build and one query per stack, with
@@ -527,9 +522,8 @@ def _sweep(experiment: str, config: EstimatorConfig, exponent, target, scale=1.0
     )
     for n in config.n_grid:
         raw = _level_values(model, n, config.j, exponent, config.seed, config.replications)
-        vals = np.array([v / (scale * n) for v in raw])
-        for rep, v in enumerate(vals):
-            result.records.append(RunRecord(n=n, replication=rep, value=float(v)))
+        vals = np.array(raw) / (scale * n)
+        result.levels.append((n, vals))
         result.summaries.append(_summarize(vals, n, target, config.q))
     return result
 

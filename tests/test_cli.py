@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nnsums
+from nnsums import AnnulusBallCounterexample
 from nnsums.cli import _CHECK_KEYS, _DIVERGE_KEYS, _ESTIMATE_KEYS, _LIMIT_KEYS, main
 from nnsums.densities import _CATALOG
 from nnsums.experiments import _ESTIMATOR_KEYS
@@ -675,8 +677,37 @@ _BOX_D5 = {"type": "box", "lo": [0.0] * 5, "hi": [1e-3] * 5}
 @example(("converge", {"model": "gaussian", "d": 1, "alpha": 1e6, **RUN}, ["--force"]))
 # a unit ball sampled by rejection from the cube, refused from d = 13 on
 @example(("converge", dict(COUNTER, d=20, alpha=1.0, **RUN), ["--force"]))
+# a Gamma(beta - d) draw of 0 or near it, refused naming beta
+@example(("probe", dict(POWER, d=15, beta=15.000000001, alpha=437509.7, n_grid=[3, 18]), []))
+# r * rho below 8e-17, where 1 - 2^(-r rho) rounds to 0
+@example(("limit", dict(COUNTER, d=1, r=0.052, alpha=0.9999999999999999), []))
 def test_cli_at_the_parameter_extremes_reports_finite_numbers_or_refuses(run):
     _assert_finite_report_or_refusal(run)
+
+
+def test_unsamplable_power_law_is_refused_naming_beta(tmp_path, capsys):
+    cfg = dict(POWER, beta=2.000000001, alpha=1.0, j=1, n_grid=[3, 18], replications=1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _run_config(tmp_path, "probe", cfg) == 2
+    assert caught == []
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:") and "beta = 2.000000001 in d = 2" in line
+
+
+def test_counterexample_where_1_minus_2_to_the_minus_r_rho_rounds_to_0(tmp_path, capsys):
+    # r * rho = 0.052 * 2^-53: I_rho = omega_1 C^rho 2^(-2 r rho) / (1 - 2^(-r rho)) is
+    # about 5e17, finite; the shell series, whose terms shrink by 2^(-r rho) per
+    # shell, cannot sum it and refuses
+    cfg = dict(COUNTER, d=1, r=0.052, alpha=0.9999999999999999, j=1)
+    assert _run_config(tmp_path, "limit", cfg) == 2
+    assert capsys.readouterr().err.startswith("error: shell series did not settle")
+    out = tmp_path / "run.json"
+    run = dict(cfg, n_grid=[3, 6], replications=2)
+    assert _run_config(tmp_path, "converge", run, "--force", "--out", str(out)) == 0
+    target = json.loads(out.read_text())["target"]
+    assert target == AnnulusBallCounterexample(1, 0.052).i_rho(2.0**-53)
+    assert target == pytest.approx(4.99793911427445751658e17, rel=1e-15)
 
 
 def test_forced_counterexample_run_at_d_20_is_refused_at_once(tmp_path, capsys):

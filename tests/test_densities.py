@@ -365,6 +365,17 @@ def test_unit_ball_sample_refuses_past_2_to_the_12_candidates_per_point():
             densities._unit_ball_sample(np.random.default_rng(0), 5, d)
 
 
+@pytest.mark.parametrize("d", range(1, 13))
+def test_squared_norms_equal_the_row_sum(d):
+    # numpy sums 8 or more terms pairwise, so the column order must follow it
+    rng = np.random.default_rng([d, 12])
+    for rows in (1, 7, 826, 300_001):
+        cube = 2.0 * rng.random((rows, d)) - 1.0
+        spread = cube * np.exp2(rng.integers(-40, 40, size=(rows, d)))
+        for v in (cube, spread):
+            assert np.array_equal(densities._squared_norms(v), (v * v).sum(axis=-1)), rows
+
+
 @pytest.mark.parametrize(
     "ball",
     [
@@ -622,6 +633,8 @@ def test_i_rho_past_an_overflowing_product_is_taken_in_log_space():
         (UniformConvexUnion([Box(lo=(0.0,) * 5, hi=(1e-3,) * 5)]), 801.0),
         (AnnulusBallCounterexample(20, 300.0), 200.0),
         (GaussianStandard(40), 2.0**-52),
+        # 1 - 2^(-r rho) rounds to 0, and 1 / (r rho ln 2) exceeds the largest float
+        (AnnulusBallCounterexample(2, 1.0), 1e-310),
     ],
 )
 def test_i_rho_past_the_largest_float_is_refused_naming_rho(model, rho):

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import itertools
 import json
 import math
@@ -228,7 +229,7 @@ def test_mann_kendall_normal_branch_matches_scipy_stats():
 def test_convergence_uniform_small():
     result = run_convergence(_config())
     assert result.target == 1.0
-    assert len(result.records) == 12
+    assert [(n, len(values)) for n, values in result.levels] == [(200, 6), (800, 6)]
     assert {s.n for s in result.summaries} == {200, 800}
     final = result.summary_for(800)
     assert final.mean == pytest.approx(1.0, rel=0.1)
@@ -237,16 +238,22 @@ def test_convergence_uniform_small():
     assert "decreasing_p" in result.trend
 
 
+def _levels_equal(a, b) -> bool:
+    return [n for n, _ in a.levels] == [n for n, _ in b.levels] and all(
+        np.array_equal(va, vb) for (_, va), (_, vb) in zip(a.levels, b.levels)
+    )
+
+
 def test_convergence_is_deterministic(tmp_path):
     a = run_convergence(_config())
     b = run_convergence(_config())
-    assert a.records == b.records
+    assert _levels_equal(a, b)
     pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
     a.write_csv(pa)
     b.write_csv(pb)
     assert pa.read_bytes() == pb.read_bytes()
     c = run_convergence(_config(seed=43))
-    assert c.records != a.records
+    assert not _levels_equal(c, a)
 
 
 def test_convergence_refuses_without_guarantee():
@@ -254,7 +261,7 @@ def test_convergence_refuses_without_guarantee():
     with pytest.raises(ConditionRefused):
         run_convergence(cfg)
     forced = run_convergence(cfg, force=True)
-    assert len(forced.records) == 2
+    assert [(n, len(values)) for n, values in forced.levels] == [(50, 2)]
 
 
 def test_convergence_requires_alpha_and_grid():
@@ -327,7 +334,7 @@ def _estimate_report(tmp_path, weight):
     config = tmp_path / "estimate.json"
     config.write_text(json.dumps({"points": str(points), **weight}))
     _, result = cli._cmd_estimate(argparse.Namespace(config=str(config)))
-    assert len(result.records) == 1
+    assert [len(values) for _, values in result.levels] == [1]
     return result
 
 
@@ -349,7 +356,7 @@ def test_write_json_equals_the_indented_dump(tmp_path):
             alpha=None,
             q=2,
             target="t\tz",
-            records=[experiments.RunRecord(n=5, replication=0, value=-0.0)],
+            levels=[(5, np.array([-0.0]))],
             trend={"rows": [], "nested": {"rows": [1, 2]}, "s": "}\n  ]"},
             phi="\u2603",
         ),
@@ -362,7 +369,7 @@ def test_write_json_equals_the_indented_dump(tmp_path):
 def test_write_json_refuses_nan_and_leaves_no_file(tmp_path, where):
     result = run_convergence(_config(n_grid=(50,), replications=2))
     if where == "row":
-        result.records[1] = replace(result.records[1], value=math.nan)
+        result.levels[0][1][1] = math.nan
     else:
         result.summaries[0] = replace(result.summaries[0], mean=math.nan)
     path = tmp_path / "out.json"
@@ -454,7 +461,7 @@ def test_divergence_std_error_stays_finite_past_the_square_overflow(tmp_path):
     # as they are, but not once scaled by a power of two
     _, result = run_divergence(AnnulusBallCounterexample(2, 0.06), 1.95, [2, 3], 300, 2)
     top = result.summaries[1]
-    values = [rec.value for rec in result.records if rec.n == top.n]
+    values = dict(result.levels)[top.n].tolist()
     shift = math.frexp(max(map(abs, values)))[1]
     scaled = [math.ldexp(v, -shift) for v in values]
     mean = math.fsum(scaled) / len(scaled)
@@ -469,7 +476,24 @@ def test_divergence_trivial_single_shell():
     schedule, result = run_divergence(CX, 1.5, [2], replications=3, seed=11)
     assert schedule.n_of_k == (2,)
     assert "increasing_p" not in result.trend
-    assert len(result.records) == 3
+    assert [(n, len(values)) for n, values in result.levels] == [(2, 3)]
+
+
+def test_a_sweep_allocates_no_object_per_replication(tmp_path):
+    # diverge-ladder's spec: 1 200 replications at n = 2 ... 256; gc's
+    # generation-0 count grows by one per tracked object left alive, and
+    # was about 2 500 with one record object per replication
+    gc.collect()
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        _, result = run_divergence(CX, 1.5, range(2, 10), 150, 29)
+        result.write_json(tmp_path / "out.json")
+        allocated = gc.get_count()[0] - before
+    finally:
+        gc.enable()
+    assert sum(len(values) for _, values in result.levels) == 1200
+    assert allocated < 300
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +537,8 @@ def test_entropy_invalid_rho():
 
 def test_probe_alpha_zero_constant_one():
     result = run_moment_probe(_config(alpha=0.0, n_grid=(50, 100), replications=3), p=3.0)
-    for rec in result.records:
-        assert rec.value == 1.0
+    for _, values in result.levels:
+        assert (values == 1.0).all()
 
 
 def test_probe_reports_exponent():
@@ -580,7 +604,8 @@ def _probe_values(model, n, j, alpha, seed, replications):
     config = EstimatorConfig(
         model, j=j, alpha=alpha, n_grid=(n,), replications=replications, seed=seed
     )
-    return [rec.value for rec in run_moment_probe(config, 1.0).records]
+    [(_, values)] = run_moment_probe(config, 1.0).levels
+    return values.tolist()
 
 
 @pytest.fixture
