@@ -121,29 +121,25 @@ def _unit_ball_sample(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     The points are the first n candidates inside the ball, and the
     generator is left just past the n-th: exactly what drawing one
     candidate per missing point, round by round, consumes. A round here
-    draws ahead, (need + 2 sqrt(need) + 2) / P(inside) candidates for the
-    ``need`` missing points but at most 2 * need + 1024 (at d = 10 one in
-    400 lands inside). If it holds them, the bit generator goes back to the
-    state saved before the round and draws again the doubles up to the last
+    draws ahead, :func:`_round_size` candidates for the ``need`` missing
+    points. If it holds them, the bit generator goes back to the state
+    saved before the round and draws again the doubles up to the last
     point kept, which works for every bit generator and keeps a buffered
-    32-bit value; a round that comes up short keeps all it found.
+    32-bit value; a round that comes up short keeps all it found. The
+    rewind serves a caller that draws on from ``rng``. A Monte Carlo sweep
+    does not: its generators are single-use, one stream per replication,
+    so its stacked draw (:meth:`AnnulusBallCounterexample._sample_stack`)
+    takes the first round's points and leaves the generator where it is.
 
-    Raises :class:`ConfigError` from d = 13 on, where more than 2^12
-    candidates per point are expected (omega_d / 2^d is 3.6e-6 at d = 16).
+    Raises :class:`ConfigError` from d = 13 on (:func:`_ball_acceptance`).
     """
-    accept = unit_ball_volume(d) / 2.0**d
-    if accept < 2.0**-12:
-        raise ConfigError(
-            f"cannot sample the unit ball in d = {d}: rejection from the cube "
-            f"draws {1.0 / accept:.3g} candidates per point, past the cap of 2^12"
-        )
+    accept = _ball_acceptance(d)
     out = np.empty((n, d))
     got = 0
     while got < n:
         need = n - got
-        size = min(math.ceil((need + 2.0 * math.sqrt(need) + 2.0) / accept), 2 * need + 1024)
         state = rng.bit_generator.state
-        v = 2.0 * rng.random((size, d)) - 1.0
+        v = 2.0 * rng.random((_round_size(need, accept), d)) - 1.0
         inside = (_squared_norms(v) <= 1.0).nonzero()[0]
         if len(inside) >= need:
             inside = inside[:need]
@@ -154,16 +150,49 @@ def _unit_ball_sample(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     return out
 
 
+def _ball_acceptance(d: int) -> float:
+    """P(inside): the share omega_d / 2^d of the cube [-1, 1]^d in the unit
+    ball. Raises :class:`ConfigError` from d = 13 on, where more than 2^12
+    candidates per point are expected (omega_d / 2^d is 3.6e-6 at d = 16)."""
+    accept = unit_ball_volume(d) / 2.0**d
+    if accept < 2.0**-12:
+        raise ConfigError(
+            f"cannot sample the unit ball in d = {d}: rejection from the cube "
+            f"draws {1.0 / accept:.3g} candidates per point, past the cap of 2^12"
+        )
+    return accept
+
+
+def _round_size(need: int, accept: float) -> int:
+    """Candidates in one draw-ahead round for ``need`` missing points:
+    (need + 2 sqrt(need) + 2) / P(inside), but at most 2 * need + 1024 (at
+    d = 10 one in 400 lands inside)."""
+    return min(math.ceil((need + 2.0 * math.sqrt(need) + 2.0) / accept), 2 * need + 1024)
+
+
+def _seat(gen: np.random.Generator, state: int, inc: int) -> np.random.Generator:
+    """``gen``, its PCG64 bit generator set to the 128-bit ``state`` and
+    increment ``inc`` with no buffered 32-bit value: the generator
+    ``PCG64(seed)`` makes, for the seed those two came from."""
+    gen.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
+
+
 def _squared_norms(v: np.ndarray) -> np.ndarray:
     """``(v * v).sum(axis=-1)`` for d <= 12 columns, bitwise, summed by columns.
 
     numpy reduces each short row on its own, which costs about four times
     the column sums at d = 2. Its order is kept: left to right below 8
     terms, and from 8 on the pairwise block of the first 8 and then the
-    rest left to right.
+    rest left to right. ``v`` may hold a stack of candidate arrays.
     """
     w = v * v
-    c = [w[:, i] for i in range(w.shape[1])]
+    c = [w[..., i] for i in range(w.shape[-1])]
     if len(c) >= 8:
         c = [((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7])), *c[8:]]
     total = c[0]
@@ -212,7 +241,12 @@ class DensityModel(ABC):
     takes its error budget ``tol`` from the caller, with no default.
     Sampling takes a caller-supplied generator; one generator must not be
     shared across concurrent callers, but distinct generators may run in
-    parallel.
+    parallel. :meth:`sample` leaves the caller's generator just past the
+    values it used. A Monte Carlo sweep instead hands the models
+    single-use streams: it seats one generator on each replication's
+    stream in turn, draws one sample and moves on, and
+    :meth:`_sample_stack` relies on that to skip rewinds a caller drawing
+    on would need.
     """
 
     name: str = "abstract"
@@ -231,6 +265,14 @@ class DensityModel(ABC):
     @abstractmethod
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n i.i.d. draws as an (n, d) array."""
+
+    def _sample_stack(self, gen, states, incs, n: int, out: np.ndarray) -> None:
+        """Fill ``out[i]``, an (n, d) slice of an (s, n, d) array, with
+        ``sample(gen, n)`` drawn from stream i: ``gen`` seated (:func:`_seat`)
+        on the PCG64 state ``states[i]`` and increment ``incs[i]``. Each
+        stream is used once, so where ``gen`` is left does not matter."""
+        for i, (state, inc) in enumerate(zip(states, incs)):
+            out[i] = self.sample(_seat(gen, state, inc), n)
 
     @abstractmethod
     def i_rho(self, rho: float) -> float:
@@ -679,14 +721,47 @@ class AnnulusBallCounterexample(DensityModel):
         offsets[:, 0] += self.center_coordinate(k)
         return offsets
 
+    def _sample_stack(self, gen, states, incs, n, out):
+        """Each row bitwise ``sample`` on its stream, in whole-stack steps.
+
+        Per row, one call each draws the n shell indices and the first
+        round of :func:`_unit_ball_sample`; the rest runs once over the
+        stack: the candidates' norms, the first n inside by their running
+        count, and the centers. The ball sampler's rewind only places the
+        generator for further draws, which a single-use stream never makes.
+        A row whose first round holds fewer than n points inside (one row
+        in 2 000 at d = 3, n = 2, one in 30 000 at d = 2) is drawn again by
+        ``sample`` on its stream.
+        """
+        s, d = len(states), self.dim
+        shells = np.empty((s, n), dtype=np.int64)
+        v = np.empty((s, _round_size(n, _ball_acceptance(d)), d))
+        p = 1.0 - 2.0 ** (-self.r)
+        for i, (state, inc) in enumerate(zip(states, incs)):
+            shells[i] = _seat(gen, state, inc).geometric(p, size=n)
+            gen.random(out=v[i])
+        v *= 2.0
+        v -= 1.0
+        inside = _squared_norms(v) <= 1.0
+        count = np.cumsum(inside, axis=1)
+        short = count[:, -1] < n
+        inside &= count <= n
+        inside[short] = False
+        out[~short] = v[inside].reshape(-1, n, d)
+        out[short] = 0.0  # not left uninitialized under the centres; drawn again below
+        out[..., 0] += self.center_coordinate(shells + 1)
+        for i in short.nonzero()[0].tolist():
+            out[i] = self.sample(_seat(gen, states[i], incs[i]), n)
+
     def i_rho(self, rho):
         if rho <= 0:
             # countably many balls of equal volume: f^rho does not integrate
             return math.inf
         rr = self.r * rho
-        # 1 - 2^(-r rho) rounds to 0 once r rho is below about 8e-17
-        tiny = 2.0 ** (-rr) == 1.0
-        gap = -math.expm1(-rr * math.log(2.0)) if tiny else 1.0 - 2.0 ** (-rr)
+        # 1 - 2^(-r rho) cancels as r rho shrinks (to 0 below about 8e-17);
+        # below 2^-6 it is taken as -expm1, above it keeps its bits
+        small = rr < 2.0**-6
+        gap = -math.expm1(-rr * math.log(2.0)) if small else 1.0 - 2.0 ** (-rr)
         try:
             value = self._omega * self.c_norm**rho * 2.0 ** (-2.0 * rr) / gap
         except OverflowError:
@@ -700,7 +775,7 @@ class AnnulusBallCounterexample(DensityModel):
                 lambda: self._omega * self.sup_pdf**rho / gap,
                 lambda: math.log(self._omega)
                 + rho * math.log(self.sup_pdf)
-                - (math.log(gap) if tiny else math.log1p(-(2.0 ** (-rr)))),
+                - (math.log(gap) if small else math.log1p(-(2.0 ** (-rr)))),
             )
         return value
 

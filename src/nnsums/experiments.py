@@ -3,13 +3,24 @@ moment-probe runs with reproducible seeds and CSV/JSON reporting.
 
 Replication streams are derived from (seed, n, replication, attempt)
 through a SeedSequence, so results do not depend on execution order and
-identical configurations reproduce byte-identical reports.
+identical configurations reproduce byte-identical reports. A level seeds
+all its replications at once: :func:`_level_streams` runs numpy's
+SeedSequence hash on one column of words per replication and PCG64's
+seeding on the results, bitwise the state ``PCG64(SeedSequence((seed, n,
+rep, attempt)))`` holds, and the level sets one generator to each
+replication's state in turn. Each stream is single-use: one sample is
+drawn from it, and the generator is then set to the next one. Resamples
+(attempt >= 1) seed one stream at a time (:func:`_stream`).
 
 Small sizes are evaluated in stacks. A kd-tree build and a query each
 cost tens of microseconds before they touch a point, which is most of a
 replication's time at small n. So a level of n <= 128 points in d <= 3
 dimensions draws each replication from its own stream and then places up
-to 1024 // n of them in one point set of dimension d + 1. Replication i
+to 1024 // n of them in one point set of dimension d + 1. The model draws
+the stack (``DensityModel._sample_stack``): one ``sample`` per stream, or
+for the counterexample two generator calls per row (shell indices and
+ball candidates) and the rest in whole-stack array steps, bitwise the
+same rows. Replication i
 of a stack gets the last coordinate i * gap, with gap = 2 * (sum over
 coordinates of the stack's span) + 1. That is larger than any distance
 within a replication, so a point's j + 1 nearest points (itself
@@ -47,7 +58,7 @@ from scipy.special import ndtr
 
 from . import neighbors
 from .conditions import check_divergence, condition_report
-from .densities import _MODEL, _REQUIRED, DensityModel, _read_config
+from .densities import _MODEL, _REQUIRED, DensityModel, _read_config, _seat
 from .errors import ConditionRefused, ConfigError, DegenerateStatistic
 from .limits import _check_rho, entropy_from_integral, gamma_constant
 from .neighbors import statistic_power
@@ -84,8 +95,20 @@ _STACK_MAX_N = 128
 _STACK_MAX_DIM = 3
 _STACK_POINTS = 1024
 
-# The largest 32-bit word, and the mask of one (see _stream).
+# A level seeds its replications' streams this many at a time (_level_values).
+_SEED_BLOCK = 4096
+
+# The largest 32-bit word, and the mask of one (see _level_streams).
 _WORD = 0xFFFFFFFF
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): the constants
+# of its entropy mixing (A), of its output words (B) and of its mix step.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+# PCG64's 128-bit LCG multiplier, and the mask of its state
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK_128 = (1 << 128) - 1
 
 
 #: The keys :meth:`EstimatorConfig.from_dict` reads, besides the model's.
@@ -408,25 +431,113 @@ class ExperimentResult:
         raise KeyError(n)
 
 
+def _hash_constants(init: int, mult: int, count: int):
+    """The (xor, multiply) constants of ``count`` successive SeedSequence
+    hashes from ``init``, as (count, 1) uint32 columns: hash k xors with
+    init * mult^k and multiplies by init * mult^(k+1), mod 2^32."""
+    h = [init]
+    for _ in range(count):
+        h.append(h[-1] * mult & _WORD)
+    h = np.array(h, dtype=np.uint32)[:, None]
+    return h[:-1], h[1:]
+
+
+_OUT_XOR, _OUT_MUL = _hash_constants(_INIT_B, _MULT_B, 8)
+
+
+def _hashmix(value, xor, mul):
+    value = (value ^ xor) * mul
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    result = _MIX_L * x - _MIX_R * y
+    return result ^ result >> 16
+
+
+def _pcg64_seeds(entropy: np.ndarray) -> tuple[list, list]:
+    """The PCG64 (states, incs) of ``PCG64(SeedSequence(words))`` for each
+    column of ``entropy``, a (words, rows) uint32 array of at least 4 words.
+
+    This is numpy's SeedSequence on a pool of 4 words, run on whole rows of
+    words with uint32 wrap-around: the pool takes the hash of each of the
+    first 4 words, then each pool word is mixed into the other 3 and each
+    further entropy word into all 4, every hash with the next constant;
+    ``generate_state(4, uint64)`` hashes the pool, cycled, into 8 words.
+    The three hashes of one pool word use consecutive constants and read
+    the same value, so they run as one (3, rows) step. PCG64 takes the 4
+    little-endian uint64 words as a 128-bit seed and increment, and its
+    seeding is two steps of its LCG, done on Python ints.
+    """
+    xor, mul = _hash_constants(_INIT_A, _MULT_A, 4 * len(entropy))
+    pool = _hashmix(entropy[:4], xor[:4], mul[:4])
+    k = 4
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor[k : k + 3], mul[k : k + 3]))
+        k += 3
+    for word in entropy[4:]:
+        pool = _mix(pool, _hashmix(word, xor[k : k + 4], mul[k : k + 4]))
+        k += 4
+    out = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _OUT_XOR, _OUT_MUL).astype(np.uint64)
+    seed_hi, seed_lo, inc_hi, inc_lo = (out[0::2] | out[1::2] << np.uint64(32)).tolist()
+    incs = [(a << 65 | b << 1 | 1) & _MASK_128 for a, b in zip(inc_hi, inc_lo)]
+    states = [
+        ((inc + (a << 64 | b)) * _PCG_MULT + inc) & _MASK_128
+        for inc, a, b in zip(incs, seed_hi, seed_lo)
+    ]
+    return states, incs
+
+
+def _words(value: int) -> list:
+    """The little-endian 32-bit words numpy's SeedSequence takes from a
+    nonnegative int: one word, 0, for 0."""
+    return [(value >> s) & _WORD for s in range(0, max(value.bit_length(), 1), 32)]
+
+
+def _level_streams(seed, n, reps: range, attempt) -> tuple[list, list]:
+    """The PCG64 (states, incs) of the streams ``SeedSequence((seed, n, rep,
+    attempt))`` for rep in ``reps``, bitwise numpy's, in one hash per run of
+    reps with the same number of words (one below 2^32)."""
+    head, tail = _words(seed) + _words(n), _words(attempt)
+    states, incs = [], []
+    start = reps.start
+    while start < reps.stop:
+        width = max(1, -(-start.bit_length() // 32))
+        stop = min(reps.stop, 1 << 32 * width)
+        entropy = np.empty((len(head) + width + len(tail), stop - start), dtype=np.uint32)
+        entropy[: len(head)] = np.array(head, dtype=np.uint32)[:, None]
+        entropy[len(head) + width :] = np.array(tail, dtype=np.uint32)[:, None]
+        rep = np.arange(start, stop, dtype=np.uint64)
+        for w in range(width):
+            entropy[len(head) + w] = rep >> np.uint64(32 * w) & np.uint64(_WORD)
+        more_states, more_incs = _pcg64_seeds(entropy)
+        states += more_states
+        incs += more_incs
+        start = stop
+    return states, incs
+
+
 def _stream(seed, n, rep, attempt) -> np.random.Generator:
-    """The generator of ``SeedSequence((seed, n, rep, attempt))``, seeded from
-    the words numpy derives from that tuple: each int's little-endian 32-bit
-    words, one for 0. Handing it the word array skips numpy's coercion of
-    each element, about a fifth of the cost of setting up a stream."""
-    values = (seed, n, rep, attempt)
-    if max(values) > _WORD:
-        values = [(v >> s) & _WORD for v in values for s in range(0, max(v.bit_length(), 1), 32)]
-    return np.random.default_rng(np.random.SeedSequence(np.array(values, dtype=np.uint32)))
+    """The generator of ``SeedSequence((seed, n, rep, attempt))``: the
+    one-replication case of :func:`_level_streams`, on a new generator.
+    Like every sweep stream it is single-use: one sample is drawn from it."""
+    (state,), (inc,) = _level_streams(seed, n, range(rep, rep + 1), attempt)
+    return _seat(np.random.Generator(np.random.PCG64()), state, inc)
 
 
-def _replicate_value(model, n, j, alpha, seed, rep, first=0) -> float:
+def _replicate_value(model, n, j, alpha, seed, rep, first=0, rng=None) -> float:
     """One replication of the power sum, resampling degenerate draws.
 
     Starts at attempt ``first``; the attempts before it count as degenerate.
+    That attempt draws from ``rng`` when given, a generator seated on its
+    stream, and every other attempt from :func:`_stream`.
     """
     last = None
     for attempt in range(first, _MAX_RESAMPLES + 1):
-        xs = PointSet(model.sample(_stream(seed, n, rep, attempt), n))
+        if rng is None or attempt > first:
+            rng = _stream(seed, n, rep, attempt)
+        xs = PointSet(model.sample(rng, n))
         try:
             return statistic_power(xs, j, alpha)
         except DegenerateStatistic as exc:
@@ -436,17 +547,20 @@ def _replicate_value(model, n, j, alpha, seed, rep, first=0) -> float:
     )
 
 
-def _stack_values(model, n, j, alpha, seed, reps) -> list:
+def _stack_values(model, n, j, alpha, seed, reps, gen, states, incs) -> list:
     """The power sums of replications ``reps`` of size n from one kd-tree,
-    bitwise those of :func:`_replicate_value` (module docstring)."""
+    bitwise those of :func:`_replicate_value` (module docstring). ``states``
+    and ``incs`` are the reps' attempt-0 streams, for ``gen`` to be seated on."""
     s, d = len(reps), model.dim
     coords = np.empty((s, n, d + 1))
-    for i, rep in enumerate(reps):
-        coords[i, :, :d] = model.sample(_stream(seed, n, rep, 0), n)
+    model._sample_stack(gen, states, incs, n, coords[..., :d])
     draws = coords[..., :d]
     gap = 2.0 * float((draws.max(axis=(0, 1)) - draws.min(axis=(0, 1))).sum()) + 1.0
     if not math.isfinite(gap * (s - 1)):
-        return [_replicate_value(model, n, j, alpha, seed, rep) for rep in reps]
+        return [
+            _replicate_value(model, n, j, alpha, seed, rep, rng=_seat(gen, state, inc))
+            for rep, state, inc in zip(reps, states, incs)
+        ]
     coords[..., d] = (np.arange(s) * gap)[:, None]
     xs = PointSet(coords.reshape(s * n, d + 1))
     dists = neighbors.knn_distances(xs, j).reshape(s, n)
@@ -458,14 +572,28 @@ def _stack_values(model, n, j, alpha, seed, reps) -> list:
 
 
 def _level_values(model, n, j, alpha, seed, replications) -> list:
-    """The power sums of replications 0, 1, ... of size n, in order."""
-    if not (j < n <= _STACK_MAX_N and model.dim <= _STACK_MAX_DIM):
-        return [_replicate_value(model, n, j, alpha, seed, rep) for rep in range(replications)]
-    size = _STACK_POINTS // n
+    """The power sums of replications 0, 1, ... of size n, in order. Their
+    attempt-0 streams are seeded in one hash per block of ``_SEED_BLOCK``
+    replications, which bounds the memory the seeds take, and all are drawn
+    through one generator. A stack never spans two blocks; the sums do not
+    depend on how replications are stacked."""
+    stacked = j < n <= _STACK_MAX_N and model.dim <= _STACK_MAX_DIM
+    gen = np.random.Generator(np.random.PCG64())  # seated on each stream in turn
     values = []
-    for first in range(0, replications, size):
-        reps = range(first, min(first + size, replications))
-        values += _stack_values(model, n, j, alpha, seed, reps)
+    for lo in range(0, replications, _SEED_BLOCK):
+        block = range(lo, min(lo + _SEED_BLOCK, replications))
+        states, incs = _level_streams(seed, n, block, 0)
+        if not stacked:
+            values += [
+                _replicate_value(model, n, j, alpha, seed, rep, rng=_seat(gen, state, inc))
+                for rep, state, inc in zip(block, states, incs)
+            ]
+            continue
+        for i in range(0, len(block), _STACK_POINTS // n):
+            part = slice(i, i + _STACK_POINTS // n)
+            values += _stack_values(
+                model, n, j, alpha, seed, block[part], gen, states[part], incs[part]
+            )
     return values
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 import tracemalloc
 
 import numpy as np
@@ -374,6 +375,66 @@ def test_squared_norms_equal_the_row_sum(d):
         spread = cube * np.exp2(rng.integers(-40, 40, size=(rows, d)))
         for v in (cube, spread):
             assert np.array_equal(densities._squared_norms(v), (v * v).sum(axis=-1)), rows
+    # a stack of candidate arrays, as the counterexample's stacked draw holds
+    stack = 2.0 * rng.random((9, 13, d)) - 1.0
+    assert np.array_equal(densities._squared_norms(stack), (stack * stack).sum(axis=-1))
+
+
+def _seeded_streams(seed, n, stack):
+    """PCG64 (states, incs) of SeedSequence((seed, n, rep, 0)), rep < stack."""
+    states = [np.random.PCG64(np.random.SeedSequence((seed, n, rep, 0))).state["state"] for rep in range(stack)]
+    return [s["state"] for s in states], [s["inc"] for s in states]
+
+
+def _stacked_samples(model, seed, n, stack):
+    """Rows of ``model._sample_stack`` into the first d coordinates of an
+    (s, n, d + 1) array, as a sweep stacks them, and the per-stream oracle
+    (the class's ``sample``, past any instance patch)."""
+    d = model.dim
+    coords = np.full((stack, n, d + 1), np.nan)
+    states, incs = _seeded_streams(seed, n, stack)
+    model._sample_stack(np.random.Generator(np.random.PCG64()), states, incs, n, coords[..., :d])
+    want = [
+        type(model).sample(model, np.random.default_rng(np.random.SeedSequence((seed, n, rep, 0))), n)
+        for rep in range(stack)
+    ]
+    assert np.isnan(coords[..., d]).all()
+    return coords[..., :d], np.stack(want)
+
+
+def test_counterexample_stack_draw_equals_the_stacked_samples(monkeypatch):
+    short = Counter()
+    for d, r in itertools.product((1, 2, 3), (0.06, 0.5, 1.0, 3.0)):
+        model = AnnulusBallCounterexample(d, r)
+        draw = model.sample
+        monkeypatch.setattr(model, "sample", lambda rng, n, d=d: short.update([d]) or draw(rng, n))
+        for n, seed in itertools.product((2, 3, 5, 8, 17, 64, 128), range(3)):
+            got, want = _stacked_samples(model, seed, n, 1024 // n)
+            assert np.array_equal(got, want), (d, r, n, seed)
+    # rows whose first round came up short were drawn again by sample; in
+    # d = 1 every candidate lands inside, in d = 3 about one row in 2 000
+    # at n = 2 is short
+    assert short[1] == 0 and short[3] > 0
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_counterexample_stack_draw_with_short_first_rounds(d, monkeypatch):
+    # a first round of n candidates is short unless all land inside
+    monkeypatch.setattr(densities, "_round_size", lambda need, accept: need)
+    model = AnnulusBallCounterexample(d, 1.0)
+    draw = model.sample
+    short = []
+    monkeypatch.setattr(model, "sample", lambda rng, n: short.append(n) or draw(rng, n))
+    for n in (2, 3, 8, 64):
+        got, want = _stacked_samples(model, 11, n, 1024 // n)
+        assert np.array_equal(got, want), n
+    assert 0 < len(short) < sum(1024 // n for n in (2, 3, 8, 64))
+
+
+def test_default_stack_draw_is_one_sample_per_stream(catalog):
+    for name in ("uniform", "gaussian", "power"):
+        got, want = _stacked_samples(catalog[name], 4, 17, 60)
+        assert np.array_equal(got, want), name
 
 
 @pytest.mark.parametrize(
@@ -610,6 +671,26 @@ def test_counterexample_i_rho_where_c_to_the_rho_overflows():
         rr = r * rho
         want = unit_ball_volume(d) * product * 2.0 ** (-2.0 * rr) / (1.0 - 2.0 ** (-rr))
         assert c.i_rho(rho) == want, (d, r, rho)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("r", [0.06, 0.5, 1.0, 3.0])
+def test_counterexample_i_rho_at_small_r_rho_against_mpmath(d, r):
+    # 1 - 2^(-r rho) as a plain difference cancels: at d = 2, r = 0.5,
+    # rho = 2^-52 it gave 2.83e16 for 4.08e16
+    mpmath = pytest.importorskip("mpmath")
+    c = AnnulusBallCounterexample(d, r)
+    rhos = [2.0**-52, 2.0**-40, 1e-8, 2.0**-20, 1e-4, 2.0**-8, 0.0078, 2.0**-6, 0.0157, 0.1, 0.5, 1.0]
+    for rho in rhos:
+        with mpmath.workdps(40):
+            rr = mpmath.mpf(r) * mpmath.mpf(rho)
+            want = (
+                mpmath.mpf(c._omega)
+                * mpmath.mpf(c.c_norm) ** mpmath.mpf(rho)
+                * mpmath.power(2, -2 * rr)
+                / -mpmath.expm1(-rr * mpmath.log(2))
+            )
+        assert c.i_rho(rho) == pytest.approx(float(want), rel=1e-14, abs=0.0), (d, r, rho)
 
 
 def test_i_rho_past_an_overflowing_product_is_taken_in_log_space():

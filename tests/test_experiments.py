@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nnsums import (
     AnnulusBallCounterexample,
@@ -585,6 +587,50 @@ def test_stream_seeds_from_the_words_of_the_tuple(seed):
         assert got.bit_generator.state == want.bit_generator.state
 
 
+def _numpy_stream_state(seed, n, rep, attempt):
+    state = np.random.PCG64(np.random.SeedSequence((seed, n, rep, attempt))).state["state"]
+    return state["state"], state["inc"]
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(
+    seed=st.one_of(
+        st.integers(0, 2**16),
+        st.integers(2**32 - 3, 2**32 + 3),
+        st.integers(2**64 - 3, 2**64 + 3),
+        st.integers(0, 2**96),
+    ),
+    n=st.integers(1, 2**24),
+    attempt=st.one_of(st.integers(0, 5), st.integers(0, 2**40)),
+    replications=st.integers(1, 600),
+)
+@example(seed=2**32 - 1, n=2**24, attempt=2**40, replications=600)
+@example(seed=2**64, n=1, attempt=0, replications=1)
+def test_level_streams_equal_numpy_seed_sequence(seed, n, attempt, replications):
+    states, incs = experiments._level_streams(seed, n, range(replications), attempt)
+    assert len(states) == len(incs) == replications
+    for rep, state, inc in zip(range(replications), states, incs):
+        assert (state, inc) == _numpy_stream_state(seed, n, rep, attempt), rep
+
+
+def test_level_streams_across_the_word_boundary_of_rep():
+    # reps from 2^32 on take two words, which changes the hash
+    reps = range(2**32 - 3, 2**32 + 3)
+    states, incs = experiments._level_streams(7, 64, reps, 2)
+    assert list(zip(states, incs)) == [_numpy_stream_state(7, 64, rep, 2) for rep in reps]
+
+
+def _stream_index(seed, n, replications):
+    """(rep, attempt) of each stream SeedSequence((seed, n, rep, attempt)),
+    keyed by its PCG64 state before any draw: the sweep's generators carry
+    no seed sequence, so a sample identifies its stream by the state."""
+    return {
+        _numpy_stream_state(seed, n, rep, attempt)[0]: (rep, attempt)
+        for rep in range(replications)
+        for attempt in range(experiments._MAX_RESAMPLES + 1)
+    }
+
+
 def _one_tree_each(model, n, j, alpha, seed, replications):
     """Every replication's power sum / n from its own PointSet and tree,
     resampling degenerate draws as the sweep does."""
@@ -660,9 +706,10 @@ def test_degenerate_rows_of_a_stack_resample_from_attempt_one(monkeypatch, tree_
     tied, far = {3, 41, 62}, {7}
     draw = model.sample
     calls = Counter()
+    streams = _stream_index(9, n, replications)
 
     def sample(rng, size):
-        _, _, rep, attempt = rng.bit_generator.seed_seq.entropy
+        rep, attempt = streams[rng.bit_generator.state["state"]["state"]]
         calls[rep] += 1
         pts = draw(rng, size)
         if attempt == 0 and rep in tied:
@@ -700,9 +747,10 @@ def test_a_stack_too_wide_for_a_finite_offset_runs_one_tree_per_replication(
     # 1e307 per coordinate, so the gap (4e307) times 39 overflows.
     model = UniformConvexUnion.unit_cube(2)
     draw = model.sample
+    streams = _stream_index(6, 2, 40)
 
     def sample(rng, size):
-        rep = rng.bit_generator.seed_seq.entropy[2]
+        rep, _ = streams[rng.bit_generator.state["state"]["state"]]
         return np.full((size, 2), 1e307) if rep % 2 else draw(rng, size)
 
     monkeypatch.setattr(model, "sample", sample)
@@ -711,3 +759,36 @@ def test_a_stack_too_wide_for_a_finite_offset_runs_one_tree_per_replication(
     assert _probe_values(model, 2, 1, 1.0, 6, 40) == expected
     assert expected[1] == 0.0 and expected[0] > 0.0
     assert tree_counts["knn_dim_3"] == 0 and tree_counts["per_replication"] == 40
+
+
+def test_degenerate_draws_of_an_unstacked_level_resample_from_their_streams(monkeypatch):
+    # attempt 0 draws from the level's generator, the resamples from _stream
+    model = UniformConvexUnion.unit_cube(2)
+    n, replications = 129, 12
+    streams = _stream_index(9, n, replications)
+    draw = model.sample
+    last_attempt = Counter()
+
+    def sample(rng, size):
+        rep, attempt = streams[rng.bit_generator.state["state"]["state"]]
+        last_attempt[rep] = max(last_attempt[rep], attempt)
+        pts = draw(rng, size)
+        if attempt < 2 and rep % 3 == 0:
+            pts[1] = pts[0]  # a zero distance under a negative power
+        return pts
+
+    monkeypatch.setattr(model, "sample", sample)
+    expected = _one_tree_each(model, n, 1, -1.0, 9, replications)
+    assert _probe_values(model, n, 1, -1.0, 9, replications) == expected
+    assert last_attempt == {rep: 2 if rep % 3 == 0 else 0 for rep in range(replications)}
+
+
+def test_levels_seeded_in_blocks_keep_their_values(monkeypatch, tree_counts):
+    # 70 replications in seed blocks of 50: at n = 17 (60 to a stack) the
+    # stacks are cut at the block boundary, 50 + 20
+    monkeypatch.setattr(experiments, "_SEED_BLOCK", 50)
+    for n, stacks in ((17, 2), (129, 0)):
+        expected = _one_tree_each(CX, n, 1, 1.5, 8, 70)
+        tree_counts.clear()
+        assert _probe_values(CX, n, 1, 1.5, 8, 70) == expected, n
+        assert tree_counts["knn_dim_3"] == stacks

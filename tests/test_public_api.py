@@ -109,3 +109,33 @@ def test_every_traced_benchmark_boundary_resolves(monkeypatch):
         if b.owner is not None:
             target = getattr(target, b.owner)
         assert callable(getattr(target, b.attr)), (b.module, b.owner, b.attr)
+
+
+def _load_benchmark_module(monkeypatch, name):
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", ROOT / "benchmarks" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_full_size_workload_reaches_its_traced_spans(monkeypatch, tmp_path):
+    # what a traced benchmark worker does, in process: a layer that stops
+    # calling a traced boundary (as stacked levels did once) fails here
+    spans = _load_benchmark_module(monkeypatch, "spans")
+    workloads = _load_benchmark_module(monkeypatch, "workloads")
+    assert workloads.WORKLOADS
+    for name, workload in workloads.WORKLOADS.items():
+        outdir = tmp_path / name
+        outdir.mkdir()
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            state = workload.setup(nnsums, workload.spec, workload.default_seed)
+            workload.run(nnsums, state, str(outdir))
+        finally:
+            tracer.uninstall()
+        try:
+            spans.require_reached(tracer.spans, workload.reached)
+        except spans.MissingBoundary as exc:
+            raise AssertionError(f"{name}: {exc}") from None
