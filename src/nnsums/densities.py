@@ -126,10 +126,8 @@ def _unit_ball_sample(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     saved before the round and draws again the doubles up to the last
     point kept, which works for every bit generator and keeps a buffered
     32-bit value; a round that comes up short keeps all it found. The
-    rewind serves a caller that draws on from ``rng``. A Monte Carlo sweep
-    does not: its generators are single-use, one stream per replication,
-    so its stacked draw (:meth:`AnnulusBallCounterexample._sample_stack`)
-    takes the first round's points and leaves the generator where it is.
+    rewind serves a caller that draws on from ``rng``, which a stack draw
+    (:meth:`DensityModel._sample_stack`) does not.
 
     Raises :class:`ConfigError` from d = 13 on (:func:`_ball_acceptance`).
     """
@@ -170,19 +168,6 @@ def _round_size(need: int, accept: float) -> int:
     return min(math.ceil((need + 2.0 * math.sqrt(need) + 2.0) / accept), 2 * need + 1024)
 
 
-def _seat(gen: np.random.Generator, state: int, inc: int) -> np.random.Generator:
-    """``gen``, its PCG64 bit generator set to the 128-bit ``state`` and
-    increment ``inc`` with no buffered 32-bit value: the generator
-    ``PCG64(seed)`` makes, for the seed those two came from."""
-    gen.bit_generator.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return gen
-
-
 def _squared_norms(v: np.ndarray) -> np.ndarray:
     """``(v * v).sum(axis=-1)`` for d <= 12 columns, bitwise, summed by columns.
 
@@ -214,6 +199,15 @@ def _i_rho_or_refuse(rho: float, direct, log_of) -> float:
     return value
 
 
+def _tail_after(last: float, earlier: float, later: float) -> float:
+    """The sum of the terms after ``last`` of a geometric series with the
+    ratio |later / earlier|: infinite when that is 1 or more, 0 after a 0."""
+    if not last:
+        return 0.0
+    q = abs(later / earlier) if earlier else math.inf
+    return last * q / (1.0 - q) if q < 1.0 else math.inf
+
+
 def _bodies_overlap(a, b) -> bool:
     if isinstance(a, Box) and isinstance(b, Box):
         return all(al < bh and bl < ah for al, ah, bl, bh in zip(a.lo, a.hi, b.lo, b.hi))
@@ -242,11 +236,10 @@ class DensityModel(ABC):
     Sampling takes a caller-supplied generator; one generator must not be
     shared across concurrent callers, but distinct generators may run in
     parallel. :meth:`sample` leaves the caller's generator just past the
-    values it used. A Monte Carlo sweep instead hands the models
-    single-use streams: it seats one generator on each replication's
-    stream in turn, draws one sample and moves on, and
-    :meth:`_sample_stack` relies on that to skip rewinds a caller drawing
-    on would need.
+    values it used. A Monte Carlo sweep draws a stack of replications
+    through :meth:`_sample_stack` and a seat instead: ``seat(rep)``
+    returns a single-use generator on replication rep's stream, for one
+    sample, which the next call of ``seat`` may reset.
     """
 
     name: str = "abstract"
@@ -266,13 +259,11 @@ class DensityModel(ABC):
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n i.i.d. draws as an (n, d) array."""
 
-    def _sample_stack(self, gen, states, incs, n: int, out: np.ndarray) -> None:
+    def _sample_stack(self, seat, reps, n: int, out: np.ndarray) -> None:
         """Fill ``out[i]``, an (n, d) slice of an (s, n, d) array, with
-        ``sample(gen, n)`` drawn from stream i: ``gen`` seated (:func:`_seat`)
-        on the PCG64 state ``states[i]`` and increment ``incs[i]``. Each
-        stream is used once, so where ``gen`` is left does not matter."""
-        for i, (state, inc) in enumerate(zip(states, incs)):
-            out[i] = self.sample(_seat(gen, state, inc), n)
+        ``sample(seat(reps[i]), n)``."""
+        for i, rep in enumerate(reps):
+            out[i] = self.sample(seat(rep), n)
 
     @abstractmethod
     def i_rho(self, rho: float) -> float:
@@ -721,25 +712,24 @@ class AnnulusBallCounterexample(DensityModel):
         offsets[:, 0] += self.center_coordinate(k)
         return offsets
 
-    def _sample_stack(self, gen, states, incs, n, out):
+    def _sample_stack(self, seat, reps, n, out):
         """Each row bitwise ``sample`` on its stream, in whole-stack steps.
 
         Per row, one call each draws the n shell indices and the first
         round of :func:`_unit_ball_sample`; the rest runs once over the
         stack: the candidates' norms, the first n inside by their running
-        count, and the centers. The ball sampler's rewind only places the
-        generator for further draws, which a single-use stream never makes.
-        A row whose first round holds fewer than n points inside (one row
-        in 2 000 at d = 3, n = 2, one in 30 000 at d = 2) is drawn again by
-        ``sample`` on its stream.
+        count, and the centers. A row whose first round holds fewer than n
+        points inside (one row in 2 000 at d = 3, n = 2, one in 30 000 at
+        d = 2) is drawn again by ``sample`` on a new seat.
         """
-        s, d = len(states), self.dim
+        s, d = len(reps), self.dim
         shells = np.empty((s, n), dtype=np.int64)
         v = np.empty((s, _round_size(n, _ball_acceptance(d)), d))
         p = 1.0 - 2.0 ** (-self.r)
-        for i, (state, inc) in enumerate(zip(states, incs)):
-            shells[i] = _seat(gen, state, inc).geometric(p, size=n)
-            gen.random(out=v[i])
+        for i, rep in enumerate(reps):
+            rng = seat(rep)
+            shells[i] = rng.geometric(p, size=n)
+            rng.random(out=v[i])
         v *= 2.0
         v -= 1.0
         inside = _squared_norms(v) <= 1.0
@@ -751,7 +741,7 @@ class AnnulusBallCounterexample(DensityModel):
         out[short] = 0.0  # not left uninitialized under the centres; drawn again below
         out[..., 0] += self.center_coordinate(shells + 1)
         for i in short.nonzero()[0].tolist():
-            out[i] = self.sample(_seat(gen, states[i], incs[i]), n)
+            out[i] = self.sample(seat(reps[i]), n)
 
     def i_rho(self, rho):
         if rho <= 0:
@@ -791,20 +781,20 @@ class AnnulusBallCounterexample(DensityModel):
 
     def expect_of_intensity(self, h, tol):
         # h takes every shell above the cutoff in one call; the shells past the
-        # last count as one geometric tail, at the ratio of the last two terms
+        # last count as one geometric tail, at the ratio of the last two terms.
+        # Its error is the change in that tail when the ratio is taken one
+        # shell further in, or the whole tail where fewer than three are kept.
         decay = 2.0 ** (-self.r * np.arange(2, 503))
         intensity = self.c_norm * decay
         keep = intensity > _MIN_INTENSITY
         terms = self.c_norm * self._omega * decay[keep] * h(intensity[keep])
         total = float(np.sum(terms))
-        prev, last = terms[-2:].tolist()
-        tail = 0.0
-        if last:
-            q = abs(last / prev) if prev else math.inf
-            tail = last * q / (1.0 - q) if q < 1.0 else math.inf
-        if not abs(tail) < 0.5 * tol * max(1.0, abs(total)):
+        *before, prev, last = terms[-3:].tolist()
+        tail = _tail_after(last, prev, last)
+        err = abs(tail - _tail_after(last, *before, prev)) if before else abs(tail)
+        if not err < 0.5 * tol * max(1.0, abs(total)):
             raise QuadratureBudgetExceeded("shell series did not settle within budget")
-        return total + tail, abs(tail)
+        return total + tail, err
 
     @property
     def sup_pdf(self):

@@ -3,45 +3,45 @@ moment-probe runs with reproducible seeds and CSV/JSON reporting.
 
 Replication streams are derived from (seed, n, replication, attempt)
 through a SeedSequence, so results do not depend on execution order and
-identical configurations reproduce byte-identical reports. A level seeds
-all its replications at once: :func:`_level_streams` runs numpy's
-SeedSequence hash on one column of words per replication and PCG64's
-seeding on the results, bitwise the state ``PCG64(SeedSequence((seed, n,
-rep, attempt)))`` holds, and the level sets one generator to each
-replication's state in turn. Each stream is single-use: one sample is
-drawn from it, and the generator is then set to the next one. Resamples
-(attempt >= 1) seed one stream at a time (:func:`_stream`).
+identical configurations reproduce byte-identical reports. The stream
+contract lives here alone: a level hands its models a seat, and
+``seat(rep)`` returns a single-use generator on replication rep's
+attempt-0 stream, bitwise ``Generator(PCG64(SeedSequence((seed, n, rep,
+0))))``: one sample is drawn from it, and the next call of ``seat`` may
+reset it. Behind the seat, :func:`_level_streams` seeds a block of
+replications in one run of numpy's SeedSequence hash, and one generator
+is set to each state in turn; resamples (attempt >= 1) take a new
+generator from :func:`_stream`.
 
 Small sizes are evaluated in stacks. A kd-tree build and a query each
 cost tens of microseconds before they touch a point, which is most of a
 replication's time at small n. So a level of n <= 128 points in d <= 3
 dimensions draws each replication from its own stream and then places up
 to 1024 // n of them in one point set of dimension d + 1. The model draws
-the stack (``DensityModel._sample_stack``): one ``sample`` per stream, or
+the stack (``DensityModel._sample_stack``): one ``sample`` per seat, or
 for the counterexample two generator calls per row (shell indices and
 ball candidates) and the rest in whole-stack array steps, bitwise the
-same rows. Replication i
-of a stack gets the last coordinate i * gap, with gap = 2 * (sum over
-coordinates of the stack's span) + 1. That is larger than any distance
-within a replication, so a point's j + 1 nearest points (itself
-included) all lie in its own replication, n > j being given. Within a
-replication the last coordinates differ by an exact 0, and the tree's
-distance kernel sums the squared differences of at most four coordinates
-in coordinate order, so each squared distance is the same sum with + 0
-at the end: bitwise the value a tree over that replication alone
-computes. Each row of distances then goes through the power sum by rows
-of which :func:`nnsums.neighbors.statistic_power` is the one-row case, so
-every sum is bitwise the unstacked one. A row whose total is not finite
-is resampled one replication at a time from attempt 1, exactly as an
-unstacked replication would be.
+same rows. Replication i of a stack gets the last coordinate i * gap,
+with gap = 2 * (sum over coordinates of the stack's span) + 1. That is
+larger than any distance within a replication, so a point's j + 1
+nearest points (itself included) all lie in its own replication, n > j
+being given. Within a replication the last coordinates differ by an
+exact 0, and the tree's distance kernel sums the squared differences of
+at most four coordinates in coordinate order, so each squared distance
+is the same sum with + 0 at the end: bitwise the value a tree over that
+replication alone computes. Each row of distances then goes through the
+power sum by rows of which :func:`nnsums.neighbors.statistic_power` is
+the one-row case, so every sum is bitwise the unstacked one. A row whose
+total is not finite is resampled one replication at a time from attempt
+1, exactly as an unstacked replication would be.
 
 The gain fades as n grows: a stack was 3-13% faster at n = 128 and 7-11%
 slower at n = 256 than one tree per replication
 (``BENCH_stacked_levels.json`` at the repository root has the table), so
-larger levels build one tree per replication. So does d >= 4: from eight
-coordinates on, the kernel sums in four lanes, and where d + 1 is a
-multiple of four (d = 7, 11, ...) the extra zero joins a lane and the
-stacked sums differ in their last bits.
+larger levels evaluate one replication at a time, one tree each. So
+does d >= 4: from eight coordinates on, the kernel sums in four lanes,
+and where d + 1 is a multiple of four (d = 7, 11, ...) the extra zero
+joins a lane and the stacked sums differ in their last bits.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import os
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
@@ -58,7 +59,7 @@ from scipy.special import ndtr
 
 from . import neighbors
 from .conditions import check_divergence, condition_report
-from .densities import _MODEL, _REQUIRED, DensityModel, _read_config, _seat
+from .densities import _MODEL, _REQUIRED, DensityModel, _read_config
 from .errors import ConditionRefused, ConfigError, DegenerateStatistic
 from .limits import _check_rho, entropy_from_integral, gamma_constant
 from .neighbors import statistic_power
@@ -98,7 +99,11 @@ _STACK_POINTS = 1024
 # A level seeds its replications' streams this many at a time (_level_values).
 _SEED_BLOCK = 4096
 
-# The largest 32-bit word, and the mask of one (see _level_streams).
+# A replication index is one 32-bit word of its stream's entropy
+# (_level_streams), and 2^32 values alone take 32 GiB.
+_MAX_REPLICATIONS = 2**32
+
+# The largest 32-bit word, and the mask of one (see _words).
 _WORD = 0xFFFFFFFF
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx): the constants
@@ -136,15 +141,17 @@ class EstimatorConfig:
     q: int = 1
 
     def __post_init__(self):
+        for key in ("j", "q", "replications", "seed"):
+            object.__setattr__(self, key, _integer(key, getattr(self, key)))
         if self.j < 1:
             raise ConfigError(f"j must be >= 1, got {self.j}")
         if self.q not in (1, 2):
             raise ConfigError(f"q must be 1 or 2, got {self.q}")
-        if self.replications < 1:
-            raise ConfigError(f"replications must be >= 1, got {self.replications}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not 1 <= self.replications <= _MAX_REPLICATIONS:
+            raise ConfigError(f"replications must be between 1 and 2^32, got {self.replications}")
+        if self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        grid = tuple(int(n) for n in self.n_grid)
+        grid = tuple(_integer("every n_grid entry", n) for n in self.n_grid)
         object.__setattr__(self, "n_grid", grid)
         if not grid:
             raise ConfigError("n_grid must not be empty")
@@ -178,6 +185,17 @@ class EstimatorConfig:
         if self.alpha is None:
             raise ConfigError("this experiment needs a numeric exponent 'alpha'")
         return self.alpha
+
+
+def _integer(key: str, value) -> int:
+    """``value`` by ``operator.index``; a bool or any other value raises
+    :class:`ConfigError` naming ``key``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigError(f"{key} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -497,103 +515,93 @@ def _words(value: int) -> list:
 
 def _level_streams(seed, n, reps: range, attempt) -> tuple[list, list]:
     """The PCG64 (states, incs) of the streams ``SeedSequence((seed, n, rep,
-    attempt))`` for rep in ``reps``, bitwise numpy's, in one hash per run of
-    reps with the same number of words (one below 2^32)."""
-    head, tail = _words(seed) + _words(n), _words(attempt)
-    states, incs = [], []
-    start = reps.start
-    while start < reps.stop:
-        width = max(1, -(-start.bit_length() // 32))
-        stop = min(reps.stop, 1 << 32 * width)
-        entropy = np.empty((len(head) + width + len(tail), stop - start), dtype=np.uint32)
-        entropy[: len(head)] = np.array(head, dtype=np.uint32)[:, None]
-        entropy[len(head) + width :] = np.array(tail, dtype=np.uint32)[:, None]
-        rep = np.arange(start, stop, dtype=np.uint64)
-        for w in range(width):
-            entropy[len(head) + w] = rep >> np.uint64(32 * w) & np.uint64(_WORD)
-        more_states, more_incs = _pcg64_seeds(entropy)
-        states += more_states
-        incs += more_incs
-        start = stop
-    return states, incs
+    attempt))`` for rep in ``reps``, bitwise numpy's, in one hash. Each rep
+    is below 2^32 (:class:`EstimatorConfig` caps the replications), so it
+    is one word of the entropy."""
+    head = _words(seed) + _words(n)
+    words = np.array(head + [0] + _words(attempt), dtype=np.uint32)
+    entropy = np.repeat(words[:, None], len(reps), axis=1)
+    entropy[len(head)] = np.arange(reps.start, reps.stop, dtype=np.uint32)
+    return _pcg64_seeds(entropy)
+
+
+def _seat(gen: np.random.Generator, state: int, inc: int) -> np.random.Generator:
+    """``gen`` set to the PCG64 ``state`` and increment ``inc`` with no
+    buffered 32-bit value, as ``PCG64(seed)`` makes it for their seed."""
+    gen.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
 
 
 def _stream(seed, n, rep, attempt) -> np.random.Generator:
-    """The generator of ``SeedSequence((seed, n, rep, attempt))``: the
-    one-replication case of :func:`_level_streams`, on a new generator.
-    Like every sweep stream it is single-use: one sample is drawn from it."""
-    (state,), (inc,) = _level_streams(seed, n, range(rep, rep + 1), attempt)
-    return _seat(np.random.Generator(np.random.PCG64()), state, inc)
+    """A new generator on the stream ``SeedSequence((seed, n, rep, attempt))``."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, n, rep, attempt))))
 
 
-def _replicate_value(model, n, j, alpha, seed, rep, first=0, rng=None) -> float:
-    """One replication of the power sum, resampling degenerate draws.
-
-    Starts at attempt ``first``; the attempts before it count as degenerate.
-    That attempt draws from ``rng`` when given, a generator seated on its
-    stream, and every other attempt from :func:`_stream`.
-    """
-    last = None
-    for attempt in range(first, _MAX_RESAMPLES + 1):
-        if rng is None or attempt > first:
-            rng = _stream(seed, n, rep, attempt)
-        xs = PointSet(model.sample(rng, n))
+def _replicate_value(model, n, j, alpha, seed, rep, rng, attempt=0) -> float:
+    """One replication's power sum, drawn from ``rng``, a generator on the
+    stream of ``attempt``; the attempts before it count as degenerate. A
+    degenerate draw is resampled from the next attempt's stream
+    (:func:`_stream`), up to attempt ``_MAX_RESAMPLES``."""
+    while True:
         try:
-            return statistic_power(xs, j, alpha)
+            return statistic_power(PointSet(model.sample(rng, n)), j, alpha)
         except DegenerateStatistic as exc:
-            last = exc
-    raise DegenerateStatistic(
-        f"{_MAX_RESAMPLES} resamples in a row degenerate at n={n}: {last}"
-    )
+            if attempt >= _MAX_RESAMPLES:
+                raise DegenerateStatistic(
+                    f"{_MAX_RESAMPLES} resamples in a row degenerate at n={n}: {exc}"
+                ) from None
+        attempt += 1
+        rng = _stream(seed, n, rep, attempt)
 
 
-def _stack_values(model, n, j, alpha, seed, reps, gen, states, incs) -> list:
-    """The power sums of replications ``reps`` of size n from one kd-tree,
-    bitwise those of :func:`_replicate_value` (module docstring). ``states``
-    and ``incs`` are the reps' attempt-0 streams, for ``gen`` to be seated on."""
+def _stack_values(model, n, j, alpha, seed, reps, seat) -> list:
+    """The power sums of replications ``reps`` of size n, drawn on their
+    seats (module docstring). Two or more share one kd-tree, bitwise the
+    sums of :func:`_replicate_value`; a stack of one, or one too wide to
+    offset by a finite gap, is evaluated one replication at a time."""
     s, d = len(reps), model.dim
-    coords = np.empty((s, n, d + 1))
-    model._sample_stack(gen, states, incs, n, coords[..., :d])
-    draws = coords[..., :d]
-    gap = 2.0 * float((draws.max(axis=(0, 1)) - draws.min(axis=(0, 1))).sum()) + 1.0
-    if not math.isfinite(gap * (s - 1)):
-        return [
-            _replicate_value(model, n, j, alpha, seed, rep, rng=_seat(gen, state, inc))
-            for rep, state, inc in zip(reps, states, incs)
-        ]
-    coords[..., d] = (np.arange(s) * gap)[:, None]
-    xs = PointSet(coords.reshape(s * n, d + 1))
-    dists = neighbors.knn_distances(xs, j).reshape(s, n)
-    totals = neighbors._power_row_sums(dists, d, alpha)
-    return [
-        total if math.isfinite(total) else _replicate_value(model, n, j, alpha, seed, rep, first=1)
-        for rep, total in zip(reps, totals.tolist())
-    ]
+    if s > 1:
+        coords = np.empty((s, n, d + 1))
+        draws = coords[..., :d]
+        model._sample_stack(seat, reps, n, draws)
+        gap = 2.0 * float((draws.max(axis=(0, 1)) - draws.min(axis=(0, 1))).sum()) + 1.0
+        if math.isfinite(gap * (s - 1)):
+            coords[..., d] = (np.arange(s) * gap)[:, None]
+            xs = PointSet(coords.reshape(s * n, d + 1))
+            dists = neighbors.knn_distances(xs, j).reshape(s, n)
+            totals = neighbors._power_row_sums(dists, d, alpha)
+            return [
+                total
+                if math.isfinite(total)
+                else _replicate_value(model, n, j, alpha, seed, rep, _stream(seed, n, rep, 1), 1)
+                for rep, total in zip(reps, totals.tolist())
+            ]
+    return [_replicate_value(model, n, j, alpha, seed, rep, seat(rep)) for rep in reps]
 
 
 def _level_values(model, n, j, alpha, seed, replications) -> list:
-    """The power sums of replications 0, 1, ... of size n, in order. Their
-    attempt-0 streams are seeded in one hash per block of ``_SEED_BLOCK``
-    replications, which bounds the memory the seeds take, and all are drawn
-    through one generator. A stack never spans two blocks; the sums do not
-    depend on how replications are stacked."""
-    stacked = j < n <= _STACK_MAX_N and model.dim <= _STACK_MAX_DIM
-    gen = np.random.Generator(np.random.PCG64())  # seated on each stream in turn
+    """The power sums of replications 0, 1, ... of size n, in order, in
+    stacks (:func:`_stack_values`) of ``_STACK_POINTS // n`` where n <= 128
+    and d <= 3, else of one. Their streams are seeded a block of
+    ``_SEED_BLOCK`` at a time, which bounds the seeds' memory; a stack
+    never spans two blocks, and the sums do not depend on the stacking."""
+    stack = _STACK_POINTS // n if n <= _STACK_MAX_N and model.dim <= _STACK_MAX_DIM else 1
+    gen = np.random.Generator(np.random.PCG64())
     values = []
     for lo in range(0, replications, _SEED_BLOCK):
         block = range(lo, min(lo + _SEED_BLOCK, replications))
         states, incs = _level_streams(seed, n, block, 0)
-        if not stacked:
-            values += [
-                _replicate_value(model, n, j, alpha, seed, rep, rng=_seat(gen, state, inc))
-                for rep, state, inc in zip(block, states, incs)
-            ]
-            continue
-        for i in range(0, len(block), _STACK_POINTS // n):
-            part = slice(i, i + _STACK_POINTS // n)
-            values += _stack_values(
-                model, n, j, alpha, seed, block[part], gen, states[part], incs[part]
-            )
+
+        def seat(rep):
+            return _seat(gen, states[rep - lo], incs[rep - lo])
+
+        for i in range(0, len(block), stack):
+            values += _stack_values(model, n, j, alpha, seed, block[i : i + stack], seat)
     return values
 
 
@@ -630,13 +638,8 @@ def _sweep(experiment: str, config: EstimatorConfig, exponent, target, scale=1.0
     ``experiment`` and carries ``config``'s model, j, alpha and q, one
     level (n and the array of its values) and one summary per n, whose L^q
     error is taken against ``target`` when that is a finite float; its
-    trend is left empty for the caller.
-
-    Levels with j < n <= 128 in d <= 3 evaluate their replications in
-    stacks of 1024 // n, one kd-tree build and one query per stack, with
-    sums bitwise equal to one tree per replication (module docstring);
-    every other level, and a stack whose coordinates are too large to
-    offset by a finite gap, builds one tree per replication.
+    trend is left empty for the caller. Levels with n <= 128 in d <= 3
+    share one kd-tree per stack of replications (module docstring).
     """
     model = config.model
     result = ExperimentResult(

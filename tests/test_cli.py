@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nnsums
-from nnsums import AnnulusBallCounterexample
+from nnsums import AnnulusBallCounterexample, gamma_constant
 from nnsums.cli import _CHECK_KEYS, _DIVERGE_KEYS, _ESTIMATE_KEYS, _LIMIT_KEYS, main
 from nnsums.densities import _CATALOG
 from nnsums.experiments import _ESTIMATOR_KEYS
@@ -693,6 +693,19 @@ def test_unsamplable_power_law_is_refused_naming_beta(tmp_path, capsys):
     assert caught == []
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("error:") and "beta = 2.000000001 in d = 2" in line
+
+
+@pytest.mark.parametrize("alpha", [1.95, 1.99])
+def test_counterexample_limit_near_alpha_d_matches_the_closed_form(tmp_path, alpha):
+    # the shell terms shrink by 2^(-r (1 - alpha/d)) = 2^-0.025 and 2^-0.005
+    # per shell, so most of the limit lies in the counted tail; its ratio is
+    # exact under a power weight, so the tail must be returned, not refused
+    out = tmp_path / "limit.json"
+    assert _run_config(tmp_path, "limit", dict(COUNTER, alpha=alpha), "--out", str(out)) == 0
+    report = json.loads(out.read_text())
+    closed = gamma_constant(2, 1, alpha) * AnnulusBallCounterexample(2, 1.0).i_rho(1 - alpha / 2)
+    assert report["value"] == pytest.approx(closed, rel=1e-6)
+    assert report["error_estimate"] < 1e-6 * closed
 
 
 def test_counterexample_where_1_minus_2_to_the_minus_r_rho_rounds_to_0(tmp_path, capsys):

@@ -380,24 +380,19 @@ def test_squared_norms_equal_the_row_sum(d):
     assert np.array_equal(densities._squared_norms(stack), (stack * stack).sum(axis=-1))
 
 
-def _seeded_streams(seed, n, stack):
-    """PCG64 (states, incs) of SeedSequence((seed, n, rep, 0)), rep < stack."""
-    states = [np.random.PCG64(np.random.SeedSequence((seed, n, rep, 0))).state["state"] for rep in range(stack)]
-    return [s["state"] for s in states], [s["inc"] for s in states]
+def _stream(seed, n, rep):
+    return np.random.default_rng(np.random.SeedSequence((seed, n, rep, 0)))
 
 
 def _stacked_samples(model, seed, n, stack):
     """Rows of ``model._sample_stack`` into the first d coordinates of an
-    (s, n, d + 1) array, as a sweep stacks them, and the per-stream oracle
-    (the class's ``sample``, past any instance patch)."""
+    (s, n, d + 1) array, as a sweep stacks them, on a seat that returns a
+    new generator on each stream, and the per-stream oracle (the class's
+    ``sample``, past any instance patch)."""
     d = model.dim
     coords = np.full((stack, n, d + 1), np.nan)
-    states, incs = _seeded_streams(seed, n, stack)
-    model._sample_stack(np.random.Generator(np.random.PCG64()), states, incs, n, coords[..., :d])
-    want = [
-        type(model).sample(model, np.random.default_rng(np.random.SeedSequence((seed, n, rep, 0))), n)
-        for rep in range(stack)
-    ]
+    model._sample_stack(lambda rep: _stream(seed, n, rep), range(stack), n, coords[..., :d])
+    want = [type(model).sample(model, _stream(seed, n, rep), n) for rep in range(stack)]
     assert np.isnan(coords[..., d]).all()
     return coords[..., :d], np.stack(want)
 
@@ -432,8 +427,8 @@ def test_counterexample_stack_draw_with_short_first_rounds(d, monkeypatch):
 
 
 def test_default_stack_draw_is_one_sample_per_stream(catalog):
-    for name in ("uniform", "gaussian", "power"):
-        got, want = _stacked_samples(catalog[name], 4, 17, 60)
+    for name, model in catalog.items():
+        got, want = _stacked_samples(model, 4, 17, 60)
         assert np.array_equal(got, want), name
 
 

@@ -75,6 +75,32 @@ def test_config_rejects_bad_counts():
         EstimatorConfig.from_dict({"model": "gaussian", "d": 2, "alpha": 1.0, "phi": "log1p"})
 
 
+def test_config_takes_integer_counts_only():
+    # each count goes through operator.index, so numpy integers pass
+    cfg = _config(j=np.int64(2), q=np.int32(1), replications=np.uint8(3), n_grid=[np.int64(9), 20])
+    assert (cfg.j, cfg.q, cfg.replications, cfg.n_grid) == (2, 1, 3, (9, 20))
+    assert all(type(v) is int for v in (cfg.j, cfg.q, cfg.replications, *cfg.n_grid))
+    for key, bad in [
+        ("j", 1.5),
+        ("j", True),
+        ("q", 1.0),
+        ("replications", 2.5),
+        ("replications", np.True_),
+        ("seed", 4.0),
+        ("seed", "4"),
+    ]:
+        with pytest.raises(ConfigError, match=f"^{key} must be an integer, got"):
+            _config(**{key: bad})
+    for grid in ([10.0, 20], [10, 20.5], [False, 10]):
+        with pytest.raises(ConfigError, match="^every n_grid entry must be an integer"):
+            _config(n_grid=grid)
+    # a replication index is one 32-bit word of its stream's seed
+    assert _config(replications=2**32).replications == 2**32
+    for too_many in (2**32 + 1, 2**64):
+        with pytest.raises(ConfigError, match="replications must be between 1 and 2\\^32"):
+            _config(replications=too_many)
+
+
 def test_config_from_dict():
     cfg = EstimatorConfig.from_dict(
         {
@@ -613,9 +639,10 @@ def test_level_streams_equal_numpy_seed_sequence(seed, n, attempt, replications)
         assert (state, inc) == _numpy_stream_state(seed, n, rep, attempt), rep
 
 
-def test_level_streams_across_the_word_boundary_of_rep():
-    # reps from 2^32 on take two words, which changes the hash
-    reps = range(2**32 - 3, 2**32 + 3)
+def test_level_streams_up_to_the_last_word_of_rep():
+    # a configuration holds at most 2^32 replications, so every rep is one
+    # word of the entropy, up to the largest
+    reps = range(2**32 - 3, 2**32)
     states, incs = experiments._level_streams(7, 64, reps, 2)
     assert list(zip(states, incs)) == [_numpy_stream_state(7, 64, rep, 2) for rep in reps]
 
@@ -734,7 +761,7 @@ def test_a_stack_degenerate_at_every_attempt_raises_the_per_replication_error(mo
     model = UniformConvexUnion.unit_cube(2)
     monkeypatch.setattr(model, "sample", lambda rng, size: np.zeros((size, 2)))
     with pytest.raises(DegenerateStatistic) as unstacked:
-        experiments._replicate_value(model, 8, 1, -1.0, 4, 0)
+        experiments._replicate_value(model, 8, 1, -1.0, 4, 0, _stream(4, 8, 0, 0))
     with pytest.raises(DegenerateStatistic) as stacked:
         _probe_values(model, 8, 1, -1.0, 4, 10)
     assert str(stacked.value) == str(unstacked.value)

@@ -139,3 +139,62 @@ def test_every_full_size_workload_reaches_its_traced_spans(monkeypatch, tmp_path
             spans.require_reached(tracer.spans, workload.reached)
         except spans.MissingBoundary as exc:
             raise AssertionError(f"{name}: {exc}") from None
+
+
+#: Every private name one nnsums module takes from a sibling, as (importer,
+#: sibling, name). New coupling between modules fails the test below until
+#: it joins this list, where review sees it.
+PRIVATE_IMPORTS = {
+    ("cli", "densities", "_MODEL"),
+    ("cli", "densities", "_REQUIRED"),
+    ("cli", "densities", "_read_config"),
+    ("densities", "limits", "_adaptive_gauss"),
+    ("densities", "limits", "_exp_or_refuse"),
+    ("densities", "limits", "_log_unit_ball_volume"),
+    ("experiments", "densities", "_MODEL"),
+    ("experiments", "densities", "_REQUIRED"),
+    ("experiments", "densities", "_read_config"),
+    ("experiments", "limits", "_check_rho"),
+    ("experiments", "neighbors", "_power_row_sums"),
+    ("limits", "neighbors", "_elementwise"),
+    ("mst", "neighbors", "_power"),
+    ("mst", "neighbors", "_sq_dists_to"),
+    ("mst", "neighbors", "_weighted_sum"),
+}
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_imports():
+    """(importer, sibling, name) for each private name a package module
+    takes from a sibling, by ``from .m import _x`` or by ``m._x`` after
+    ``from . import m``."""
+    found = set()
+    for path in sorted((ROOT / "src" / "nnsums").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        siblings = {}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+                continue
+            for alias in node.names:
+                if node.module is None:
+                    siblings[alias.asname or alias.name] = alias.name
+                elif _is_private(alias.name):
+                    found.add((path.stem, node.module, alias.name))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in siblings
+                and _is_private(node.attr)
+            ):
+                found.add((path.stem, siblings[node.value.id], node.attr))
+    return found
+
+
+def test_private_names_taken_across_modules_are_listed():
+    found = _private_imports()
+    assert not found - PRIVATE_IMPORTS, f"unlisted: {sorted(found - PRIVATE_IMPORTS)}"
+    assert not PRIVATE_IMPORTS - found, f"no longer taken: {sorted(PRIVATE_IMPORTS - found)}"
