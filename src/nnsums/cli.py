@@ -42,7 +42,7 @@ import numpy as np
 
 from .conditions import condition_report
 from .densities import _MODEL, _REQUIRED, _read_config
-from .errors import ConditionRefused, ConfigError, QuadratureBudgetExceeded
+from .errors import ConditionRefused, ConfigError, QuadratureBudgetExceeded, _integer
 from .experiments import (
     EstimatorConfig,
     ExperimentResult,
@@ -104,8 +104,7 @@ def _cmd_estimate(args):
     j, alpha, phi_name, n = v["j"], v["alpha"], v["phi"], len(points)
     if (alpha is None) == (phi_name is None):
         raise ConfigError("estimate needs exactly one of 'alpha' or 'phi'")
-    if v["q"] not in (1, 2):
-        raise ConfigError(f"'q' must be 1 or 2, got {v['q']}")
+    q = _integer("'q'", v["q"], 1, 2, "1 or 2")
     if n <= j:
         raise ConfigError(
             f"{v['points']} holds n={n} points, at most j={j}, so no point "
@@ -131,7 +130,7 @@ def _cmd_estimate(args):
         d=points.dim,
         j=j,
         alpha=alpha,
-        q=v["q"],
+        q=q,
         target=None,
         levels=[(n, np.array([value]))],
         phi=phi_name,

@@ -30,6 +30,7 @@ import math
 from dataclasses import asdict, dataclass, field
 
 from .densities import DensityModel
+from .errors import _integer, _real
 
 _BOUNDARY_RTOL = 1e-12
 
@@ -49,8 +50,7 @@ def _at_boundary(r_c: float, threshold: float) -> bool:
 def check_moment_condition(model: DensityModel, alpha: float, q: int) -> bool:
     """0 < alpha < d/q with finite f^(1-alpha/d) integral and critical
     moment strictly above the threshold."""
-    if q not in (1, 2):
-        raise ValueError(f"q must be 1 or 2, got {q}")
+    alpha, q = _real("alpha", alpha), _integer("q", q, 1, 2, "1 or 2")
     d = model.dim
     if not 0 < alpha < d / q:
         return False
@@ -62,7 +62,7 @@ def check_moment_condition(model: DensityModel, alpha: float, q: int) -> bool:
 def check_power_tail(model: DensityModel, alpha: float) -> bool:
     """Power-decay tails with finite f^(1-alpha/d) integral; implies the
     q=1 moment condition."""
-    beta = model.power_law_tail_exponent
+    alpha, beta = _real("alpha", alpha), model.power_law_tail_exponent
     d = model.dim
     if beta is None or beta <= d:
         return False
@@ -74,7 +74,7 @@ def check_power_tail(model: DensityModel, alpha: float) -> bool:
 def check_divergence(model: DensityModel, alpha: float) -> bool:
     """Unbounded-mean condition: 0 < alpha < d, critical moment below
     alpha*d/(d-alpha), and regular shell-mass decay."""
-    d = model.dim
+    alpha, d = _real("alpha", alpha), model.dim
     if not 0 < alpha < d:
         return False
     r_c = model.critical_moment()
@@ -115,7 +115,7 @@ class ConditionReport:
 def condition_report(model: DensityModel, alpha: float, q: int) -> ConditionReport:
     """Evaluate the five conditions of the module docstring and collect
     boundary notes."""
-    # the one check of q: check_moment_condition refuses any q but 1 and 2
+    alpha, q = _real("alpha", alpha), _integer("q", q, 1, 2, "1 or 2")
     moment_condition = check_moment_condition(model, alpha, q)
     d = model.dim
     report = ConditionReport(

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc, gammainc
 
-from .errors import ConfigError, QuadratureBudgetExceeded
+from .errors import ConfigError, QuadratureBudgetExceeded, _integer, _real
 from .limits import _adaptive_gauss, _exp_or_refuse, _log_unit_ball_volume, unit_ball_volume
 
 
@@ -47,16 +47,14 @@ class Box:
     hi: tuple
 
     def __post_init__(self):
-        lo = tuple(float(v) for v in self.lo)
-        hi = tuple(float(v) for v in self.hi)
+        lo = tuple(_real("box corner", v) for v in self.lo)
+        hi = tuple(_real("box corner", v) for v in self.hi)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         if len(lo) != len(hi) or not lo:
             raise ValueError("box corners must share a positive dimension")
         if not all(h > l for l, h in zip(lo, hi)):
             raise ValueError("box must have positive volume")
-        if not all(map(math.isfinite, lo + hi)):
-            raise ValueError("box corners must be finite")
 
     @property
     def dim(self) -> int:
@@ -89,15 +87,13 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        center = tuple(float(v) for v in self.center)
+        center = tuple(_real("ball center", v) for v in self.center)
         object.__setattr__(self, "center", center)
-        object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "radius", _real("ball radius", self.radius))
         if not center:
             raise ValueError("ball center must have a positive dimension")
-        if not (self.radius > 0 and math.isfinite(self.radius)):
+        if not self.radius > 0:
             raise ValueError("ball must have positive finite radius")
-        if not all(map(math.isfinite, center)):
-            raise ValueError("ball center must be finite")
 
     @property
     def dim(self) -> int:
@@ -245,9 +241,7 @@ class DensityModel(ABC):
     name: str = "abstract"
 
     def __init__(self, dim: int):
-        if dim < 1:
-            raise ValueError(f"dimension d must be a positive integer, got {dim}")
-        self.dim = int(dim)
+        self.dim = _integer("dimension d", dim, 1, what="a positive integer")
 
     # -- core surface -------------------------------------------------
 
@@ -424,6 +418,7 @@ class UniformConvexUnion(DensityModel):
 
     @classmethod
     def unit_cube(cls, d: int) -> "UniformConvexUnion":
+        d = _integer("dimension d", d, 1, what="a positive integer")
         return cls([Box(lo=(0.0,) * d, hi=(1.0,) * d)])
 
     def pdf(self, x):
@@ -509,8 +504,7 @@ class _RadialModel(DensityModel):
     def annulus_mass(self, k):
         """The difference of the radial CDF at the radii 2^k and 2^(k+1);
         refused past k = 1022, where 2^(k+1) overflows a float."""
-        if k < 0:
-            raise ValueError(f"annulus index must be >= 0, got {k}")
+        k = _integer("annulus index", k, 0)
         if k > 1022:
             raise ConfigError(f"shell k={k} has outer radius 2^{k + 1}, past the largest float")
         if k == 0:
@@ -578,7 +572,7 @@ class PowerLawTail(_RadialModel):
 
     def __init__(self, dim: int, beta: float):
         super().__init__(dim)
-        beta = float(beta)
+        dim, beta = self.dim, _real("beta", beta)
         if not (beta > dim):
             raise ValueError(f"beta must exceed the dimension, got beta={beta}, d={dim}")
         self.beta = beta
@@ -670,8 +664,8 @@ class AnnulusBallCounterexample(DensityModel):
 
     def __init__(self, dim: int, r: float):
         super().__init__(dim)
-        r = float(r)
-        if not (r > 0 and math.isfinite(r)):
+        r = _real("decay rate r", r)
+        if not r > 0:
             raise ValueError(f"decay rate r must be positive and finite, got {r}")
         if r < 53 / 1022:
             raise ValueError(
@@ -679,7 +673,7 @@ class AnnulusBallCounterexample(DensityModel):
                 "centers overflow to +inf, would be drawn too often"
             )
         self.r = r
-        self._omega = unit_ball_volume(dim)
+        self._omega = unit_ball_volume(self.dim)
         # sum_{k>=2} 2^(-r k) = 2^(-2r) / (1 - 2^(-r)); C = 1 / (omega_d times
         # it) and C * omega_d, a factor of every shell mass, must be finite
         shell_sum = 2.0 ** (-2.0 * r) / (1.0 - 2.0 ** (-r))
@@ -773,8 +767,7 @@ class AnnulusBallCounterexample(DensityModel):
         return self.r
 
     def annulus_mass(self, k):
-        if k < 0:
-            raise ValueError(f"annulus index must be >= 0, got {k}")
+        k = _integer("annulus index", k, 0)
         if k < 2:
             return 0.0
         return self.c_norm * self._omega * 2.0 ** (-self.r * k)
@@ -816,17 +809,24 @@ _REQUIRED = object()
 _MODEL = {"model": ("str", _REQUIRED)}
 
 
-# kind -> (what a value must be, its test), and "<kind>_list" for a list of them.
-# Exact types: bool is a subclass of int, and JSON reads 2.0 as a float.
-_KINDS = {
-    "int": ("an integer", lambda v: type(v) is int),
-    "float": ("a finite number", lambda v: type(v) in (int, float) and math.isfinite(v)),
-    "str": ("a string", lambda v: type(v) is str),
-    "object": ("an object", lambda v: type(v) is dict),
-}
+def _kind(what: str, cls: type, item=None):
+    """A checker like ``_integer`` of a value of type ``cls``, or a list of ``item``s."""
+    def check(name: str, value):
+        try:
+            if type(value) is cls:
+                return value if item is None else [item(name, v) for v in value]
+        except ConfigError:
+            pass
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    return check
+
+
+# kind -> the checker its values pass (int, float: nnsums.errors), and "<kind>_list" for lists
+_KINDS = {"int": _integer, "float": _real}
+_KINDS |= {"str": _kind("a string", str), "object": _kind("an object", dict)}
 _KINDS |= {
-    f"{k}_list": (f"a list, each item {w}", lambda v, t=t: type(v) is list and all(map(t, v)))
-    for k, (w, t) in _KINDS.items()
+    f"{k}_list": _kind(f"a list, each item {w}", list, _KINDS[k])
+    for k, w in [("int", "an integer"), ("float", "a finite number"), ("object", "an object")]
 }
 
 # catalog model -> (its keys besides "model" and "d", constructor taking d first)
@@ -865,13 +865,9 @@ def _read_config(cfg, table: dict) -> dict:
         )
     values = {}
     for key, (kind, default) in table.items():
-        value = cfg.get(key, default)
-        if value is _REQUIRED:
+        if key not in cfg and default is _REQUIRED:
             raise ConfigError(f"configuration needs key {key!r}")
-        what, test = _KINDS[kind]
-        if key in cfg and not test(value):
-            raise ConfigError(f"{key!r} must be {what}, got {value!r}")
-        values[key] = float(value) if key in cfg and kind == "float" else value
+        values[key] = _KINDS[kind](repr(key), cfg[key]) if key in cfg else default
     if "model" in table:
         try:
             values["model"] = build(values.pop("d"), *(values.pop(k) for k in model_keys))
@@ -909,7 +905,7 @@ def model_from_config(cfg: dict) -> DensityModel:
     gaussian, power_law or counterexample), ``d`` (int >= 1), and per model
     ``bodies`` (a list of {"type": "box", "lo": [float], "hi": [float]} and
     {"type": "ball", "center": [float], "radius": float} objects), ``beta``
-    (float > d) or ``r`` (float > 0). An int is a JSON integer, never a
-    bool, a string or 2.0; a float is any finite JSON number.
+    (float > d) or ``r`` (float > 0). An int and a float follow the
+    argument rule of :mod:`nnsums.errors`: an int is never 2.0 or a bool.
     """
     return _read_config(cfg, _MODEL)["model"]

@@ -49,7 +49,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import operator
 import os
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
@@ -60,7 +59,7 @@ from scipy.special import ndtr
 from . import neighbors
 from .conditions import check_divergence, condition_report
 from .densities import _MODEL, _REQUIRED, DensityModel, _read_config
-from .errors import ConditionRefused, ConfigError, DegenerateStatistic
+from .errors import ConditionRefused, ConfigError, DegenerateStatistic, _integer, _real
 from .limits import _check_rho, entropy_from_integral, gamma_constant
 from .neighbors import statistic_power
 from .points import PointSet
@@ -130,7 +129,7 @@ _ESTIMATOR_KEYS = {
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """One statistic evaluation plan: model, rank, exponent, sizes, seeds."""
+    """One statistic evaluation plan, whose counts and alpha follow :mod:`nnsums.errors`."""
 
     model: DensityModel
     j: int = 1
@@ -141,18 +140,14 @@ class EstimatorConfig:
     q: int = 1
 
     def __post_init__(self):
-        for key in ("j", "q", "replications", "seed"):
-            object.__setattr__(self, key, _integer(key, getattr(self, key)))
-        if self.j < 1:
-            raise ConfigError(f"j must be >= 1, got {self.j}")
-        if self.q not in (1, 2):
-            raise ConfigError(f"q must be 1 or 2, got {self.q}")
-        if not 1 <= self.replications <= _MAX_REPLICATIONS:
-            raise ConfigError(f"replications must be between 1 and 2^32, got {self.replications}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         grid = tuple(_integer("every n_grid entry", n) for n in self.n_grid)
         object.__setattr__(self, "n_grid", grid)
+        counts = {"j": (1,), "q": (1, 2, "1 or 2"), "seed": (0, None, "a nonnegative integer")}
+        counts["replications"] = (1, _MAX_REPLICATIONS, "between 1 and 2^32")
+        for key, bounds in counts.items():
+            object.__setattr__(self, key, _integer(key, getattr(self, key), *bounds))
+        if self.alpha is not None:
+            object.__setattr__(self, "alpha", _real("alpha", self.alpha))
         if not grid:
             raise ConfigError("n_grid must not be empty")
         if any(n < 1 for n in grid):
@@ -164,8 +159,6 @@ class EstimatorConfig:
                 f"n_grid size n={grid[0]} holds at most j={self.j} points, so no point "
                 "has a j-th neighbour and the sum is always 0"
             )
-        if self.alpha is not None and not math.isfinite(self.alpha):
-            raise ConfigError(f"alpha must be finite, got {self.alpha}")
 
     @classmethod
     def from_dict(cls, cfg: dict, seed_override: int | None = None) -> "EstimatorConfig":
@@ -185,17 +178,6 @@ class EstimatorConfig:
         if self.alpha is None:
             raise ConfigError("this experiment needs a numeric exponent 'alpha'")
         return self.alpha
-
-
-def _integer(key: str, value) -> int:
-    """``value`` by ``operator.index``; a bool or any other value raises
-    :class:`ConfigError` naming ``key``."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ConfigError(f"{key} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -227,7 +209,7 @@ class DivergenceSchedule:
         """The schedule of ``model`` over ``k_grid``; refuses a shell of mass
         F(A_k) below 2^-24, whose witness size would exceed ``_MAX_WITNESS``
         = 2^24 points (a Gaussian shell k = 3 in d = 2 asks for 7.9e13)."""
-        k_grid = tuple(int(k) for k in k_grid)
+        k_grid = tuple(_integer("every k_grid entry", k) for k in k_grid)
         sizes = []
         for k in k_grid:
             mass = model.annulus_mass(k)
@@ -284,7 +266,7 @@ def mann_kendall_increasing(values) -> MannKendallResult:
     Methods, 1990). The ratio of the two integer counts rounds once, so p is
     the float the permutation walk gives.
     """
-    vals = [float(v) for v in values]
+    vals = [_real(f"the value at position {i}", v) for i, v in enumerate(values)]
     m = len(vals)
     s = sum(
         (vals[b] > vals[a]) - (vals[b] < vals[a]) for a in range(m) for b in range(a + 1, m)
@@ -713,9 +695,9 @@ def run_divergence(
     test, the last/first ratio, and the analytic lower-bound proxy
     F(A_k)^(1-alpha/d) * 2^(k*alpha) for comparison. The schedule runs as
     the :class:`EstimatorConfig` with n_grid = n(k) and q = 1, which checks
-    ``replications``, ``seed`` and ``j``.
+    ``replications`` and ``seed``.
     """
-    k_grid = tuple(k_grid)
+    alpha, j, k_grid = _real("alpha", alpha), _integer("j", j, 1), tuple(k_grid)
     if not k_grid:
         raise ConfigError("k_grid must not be empty")
     if not check_divergence(model, alpha) and not force:
@@ -790,10 +772,8 @@ def run_moment_probe(config: EstimatorConfig, p: float) -> ExperimentResult:
     divergence schedule shows the moment hypothesis failing. Purely
     diagnostic, so no condition gate applies.
     """
-    alpha = config.require_alpha()
-    if not math.isfinite(p):
-        raise ConfigError(f"p must be finite, got {p}")
-    exponent = alpha * p
+    alpha, p = config.require_alpha(), _real("p", p)
+    exponent = _real("alpha * p", alpha * p)
     result = _sweep("probe", config, exponent, None)
     means = [s.mean for s in result.summaries]
     result.trend = {"p": p, "exponent": exponent, "means": means}

@@ -36,13 +36,13 @@ import numpy as np
 from scipy.special import gammainccinv
 
 from .errors import ConfigError, InvalidGammaArgument, InvalidRho, QuadratureBudgetExceeded
+from .errors import _integer, _real
 from .neighbors import _elementwise
 
 
 def unit_ball_volume(d: int) -> float:
     """Volume omega_d = pi^(d/2) / Gamma(1 + d/2) of the unit ball in R^d."""
-    if d < 1:
-        raise ValueError(f"dimension must be a positive integer, got {d}")
+    d = _integer("dimension d", d, 1, what="a positive integer")
     if d <= 340:
         return math.pi ** (d / 2) / math.gamma(1 + d / 2)
     # Gamma overflows past ~170; fall back to log space.
@@ -67,24 +67,21 @@ def _exp_or_refuse(log_value: float, quantity: str) -> float:
         ) from None
 
 
-def _check_poisson_law(tau, d: int, j: int, alpha: float = 0.0) -> None:
-    """Refuse arguments outside the Poisson neighbor law.
+def _check_poisson_law(tau, d: int, j: int, alpha: float = 0.0) -> tuple[int, int, float]:
+    """(d, j, alpha) as int, int and float, inside the Poisson neighbor law:
 
     ``tau`` (one intensity or an array of them) must be finite and
-    positive, d and j at least 1, and alpha finite with j + alpha/d > 0;
-    the last alone raises :class:`InvalidGammaArgument`.
+    positive, d and j integers at least 1, and alpha a finite real with
+    j + alpha/d > 0; the last alone raises :class:`InvalidGammaArgument`.
     """
     taus = np.asarray(tau, dtype=float)
     if not np.all((taus > 0) & (taus < math.inf)):
         raise ValueError(f"intensity must be positive and finite, got {tau}")
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    if j < 1:
-        raise ValueError(f"neighbor rank j must be >= 1, got {j}")
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
+    d, j = _integer("dimension d", d, 1), _integer("neighbor rank j", j, 1)
+    alpha = _real("alpha", alpha)
     if j + alpha / d <= 0:
         raise InvalidGammaArgument(f"need j + alpha/d > 0, got j={j}, alpha={alpha}, d={d}")
+    return d, j, alpha
 
 
 def gamma_constant(d: int, j: int, alpha: float) -> float:
@@ -102,7 +99,7 @@ def poisson_nn_moment(tau: float, d: int, j: int, alpha: float) -> float:
     Raises :class:`ConfigError` naming alpha where the moment exceeds the
     largest float.
     """
-    _check_poisson_law(tau, d, j, alpha)
+    d, j, alpha = _check_poisson_law(tau, d, j, alpha)
     log_scale = math.log(tau) + _log_unit_ball_volume(d)
     log_value = -(alpha / d) * log_scale + math.lgamma(j + alpha / d) - math.lgamma(j)
     return _exp_or_refuse(log_value, f"E[D_{j}^alpha] at alpha = {alpha!r}")
@@ -119,9 +116,8 @@ def sample_poisson_nn_distances(
     radius; the induced bias is below the truncation probability times
     the radius.
     """
-    _check_poisson_law(tau, d, j)
-    if n_draws < 1:
-        raise ValueError("need at least one draw")
+    d, j, _ = _check_poisson_law(tau, d, j)
+    n_draws = _integer("n_draws", n_draws, 1)
     scale = tau * unit_ball_volume(d)
     mu = float(gammainccinv(j, 1e-6))
     radius = (mu / scale) ** (1.0 / d)
@@ -228,7 +224,7 @@ def poisson_expectation(
     and intensities from 1e-3 to 1e3 the estimate stays under tol / 10
     while the true error reaches 0.65 tol; the value still lies within tol.
     """
-    _check_poisson_law(tau, d, j)
+    d, j, _ = _check_poisson_law(tau, d, j)
     taus = np.asarray(tau, dtype=float)
     # D_j per unit of v, one column per intensity
     spacing = (taus.reshape(1, -1) * unit_ball_volume(d)) ** (-1.0 / d)

@@ -212,4 +212,4 @@ def l_power_nn(xs: PointSet, b: float, j: int = 1) -> float:
     does, and :class:`~nnsums.errors.DegenerateStatistic` when a summand or
     the sum is not finite, as for b < 0 on tied points.
     """
-    return _weighted_sum(xs, j, _power(b), scale=False)
+    return _weighted_sum(xs, j, _power(b, "b"), scale=False)

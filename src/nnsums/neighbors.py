@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateStatistic
+from .errors import DegenerateStatistic, _integer, _real
 from .points import PointSet
 
 @dataclass(frozen=True)
@@ -44,10 +44,8 @@ class NeighborQuery:
     index: int
 
     def __post_init__(self):
-        if self.j < 1:
-            raise ValueError(f"neighbor rank j must be >= 1, got {self.j}")
-        if self.index < 0:
-            raise IndexError(f"query index must be >= 0, got {self.index}")
+        object.__setattr__(self, "j", _integer("neighbor rank j", self.j, 1))
+        object.__setattr__(self, "index", _integer("query index", self.index, 0))
 
 
 def _sq_dists_to(points: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -124,7 +122,7 @@ class NeighborIndex:
         is queried with the same coordinates through the same kernel, and
         its j-th smallest distance does not depend on when it is asked for.
         """
-        n = len(self._xs)
+        n, j = len(self._xs), _integer("neighbor rank j", j, 1)
         if n <= j:
             return np.zeros(n)
         order = self._tree.indices
@@ -154,16 +152,12 @@ def nn_distance_indexed(xs: PointSet, q: NeighborQuery, index: NeighborIndex | N
 def knn_distances(xs: PointSet, j: int) -> np.ndarray:
     """j-th neighbor distances for all points, exact, from one kd-tree
     built over ``xs``."""
-    if j < 1:
-        raise ValueError(f"neighbor rank j must be >= 1, got {j}")
     return NeighborIndex(xs).knn_distances(j)
 
 
-def _power(alpha: float):
-    """The summand t -> t**alpha of the power statistic, for a finite alpha."""
-    alpha = float(alpha)
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
+def _power(alpha: float, name: str = "alpha"):
+    """The summand t -> t**alpha of the power statistic; a refusal names alpha ``name``."""
+    alpha = _real(name, alpha)
     return lambda t: t**alpha
 
 
@@ -209,7 +203,7 @@ def _weighted_sum(xs: PointSet, j: int, weight, scale: bool) -> float:
     total raises :class:`DegenerateStatistic`, whose message names the
     cause.
     """
-    n = len(xs)
+    n, j = len(xs), _integer("neighbor rank j", j, 1)
     if n <= j:
         return 0.0
     dists = knn_distances(xs, j)

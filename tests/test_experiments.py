@@ -101,6 +101,19 @@ def test_config_takes_integer_counts_only():
             _config(replications=too_many)
 
 
+def test_alpha_is_a_finite_real_never_a_bool_or_a_string():
+    # alpha=True was accepted, and reported as "alpha": true, while "1" raised
+    # TypeError; the JSON path refused both
+    for bad in (True, np.True_, "1", [1.0], math.inf, 10**400):
+        with pytest.raises(ConfigError, match="^alpha must be a finite number, got"):
+            _config(alpha=bad)
+        with pytest.raises(ConfigError, match="^alpha must be a finite number, got"):
+            run_divergence(CX, bad, [2, 3], 2, 1)
+    cfg = _config(alpha=np.float32(0.5))
+    assert cfg.alpha == 0.5 and type(cfg.alpha) is float
+    assert _config(alpha=np.int64(1)).alpha == 1.0
+
+
 def test_config_from_dict():
     cfg = EstimatorConfig.from_dict(
         {
@@ -185,6 +198,9 @@ def test_mann_kendall_short_sequences():
     for values in ([], [1.0], [1.0, 1.0]):
         result = mann_kendall_increasing(values)
         assert (result.s, result.p_increasing) == (0, 1.0)
+    # a NaN compared false both ways and gave S = 1, p = 0.5
+    with pytest.raises(ValueError, match="^the value at position 1 must be a finite number, got nan"):
+        mann_kendall_increasing([1.0, math.nan, 2.0])
 
 
 def _s_stat(seq) -> int:
@@ -586,7 +602,7 @@ def test_probe_refuses_an_exponent_that_overflows_at_every_level(monkeypatch):
     monkeypatch.setattr(model, "sample", lambda rng, size: 1e-3 * draw(rng, size))
     for n in (16, 200):  # a stacked level and one tree per replication
         config = _config(model=model, alpha=1e200, n_grid=(n,), replications=3)
-        with pytest.raises(ValueError, match="alpha must be finite, got inf"):
+        with pytest.raises(ValueError, match=r"alpha \* p must be a finite number, got inf"):
             run_moment_probe(config, p=1e200)
 
 

@@ -172,9 +172,9 @@ def test_moment_invalid_argument():
         poisson_nn_moment(1.0, 2, 1, -2.0)
     # a non-finite alpha gave NaN
     for alpha in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="alpha must be finite"):
+        with pytest.raises(ValueError, match="alpha must be a finite number"):
             poisson_nn_moment(1.0, 2, 1, alpha)
-    with pytest.raises(ValueError, match="alpha must be finite"):
+    with pytest.raises(ValueError, match="alpha must be a finite number"):
         gamma_constant(2, 1, math.nan)
 
 

@@ -352,7 +352,7 @@ def test_l_power_nn_names_overflowed_distances():
 def test_l_power_nn_refuses_a_non_finite_exponent(b):
     # the exponent rule of the power statistic: inf once summed to 0.0, and
     # -inf and NaN blamed tied points
-    with pytest.raises(ValueError, match="must be finite"):
+    with pytest.raises(ValueError, match="b must be a finite number"):
         l_power_nn(PointSet([[0.0], [0.3], [0.5]]), b)
 
 

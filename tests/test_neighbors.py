@@ -194,7 +194,7 @@ def test_power_sum_small_set_is_zero():
 
 @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
 def test_power_sum_refuses_non_finite_alpha(alpha):
-    with pytest.raises(ValueError, match="alpha must be finite"):
+    with pytest.raises(ValueError, match="alpha must be a finite number"):
         statistic_power(LINE, 1, alpha)
 
 

@@ -148,18 +148,29 @@ PRIVATE_IMPORTS = {
     ("cli", "densities", "_MODEL"),
     ("cli", "densities", "_REQUIRED"),
     ("cli", "densities", "_read_config"),
+    ("cli", "errors", "_integer"),
+    ("conditions", "errors", "_integer"),
+    ("conditions", "errors", "_real"),
+    ("densities", "errors", "_integer"),
+    ("densities", "errors", "_real"),
     ("densities", "limits", "_adaptive_gauss"),
     ("densities", "limits", "_exp_or_refuse"),
     ("densities", "limits", "_log_unit_ball_volume"),
     ("experiments", "densities", "_MODEL"),
     ("experiments", "densities", "_REQUIRED"),
     ("experiments", "densities", "_read_config"),
+    ("experiments", "errors", "_integer"),
+    ("experiments", "errors", "_real"),
     ("experiments", "limits", "_check_rho"),
     ("experiments", "neighbors", "_power_row_sums"),
+    ("limits", "errors", "_integer"),
+    ("limits", "errors", "_real"),
     ("limits", "neighbors", "_elementwise"),
     ("mst", "neighbors", "_power"),
     ("mst", "neighbors", "_sq_dists_to"),
     ("mst", "neighbors", "_weighted_sum"),
+    ("neighbors", "errors", "_integer"),
+    ("neighbors", "errors", "_real"),
 }
 
 
