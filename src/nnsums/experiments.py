@@ -745,7 +745,7 @@ def run_entropy(config: EstimatorConfig, rho: float, force: bool = False) -> Exp
     integral of f^rho with its ``i_std_error``, and ``tsallis``, ``renyi``
     with their ``tsallis_std_error`` and ``renyi_std_error``.
     """
-    _check_rho(rho)
+    rho = _check_rho(rho)
     d = config.model.dim
     result = run_convergence(replace(config, alpha=d * (1.0 - rho)), force=force)
     result.experiment = "entropy"

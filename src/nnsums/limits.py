@@ -30,6 +30,7 @@ u = 1/(1 + s), on which the intensity cutoff is a finite end point (see
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,8 +74,14 @@ def _check_poisson_law(tau, d: int, j: int, alpha: float = 0.0) -> tuple[int, in
     ``tau`` (one intensity or an array of them) must be finite and
     positive, d and j integers at least 1, and alpha a finite real with
     j + alpha/d > 0; the last alone raises :class:`InvalidGammaArgument`.
+    A tau that numpy does not read as integers or floats (a bool, a string)
+    raises :class:`ConfigError`, through :func:`_real` for one intensity.
     """
-    taus = np.asarray(tau, dtype=float)
+    taus = np.asarray(tau)
+    if taus.dtype.kind not in "iuf":
+        if taus.ndim:
+            raise ConfigError(f"intensity tau must hold real numbers, got dtype {taus.dtype}")
+        taus = np.asarray(_real("intensity tau", tau))
     if not np.all((taus > 0) & (taus < math.inf)):
         raise ValueError(f"intensity must be positive and finite, got {tau}")
     d, j = _integer("dimension d", d, 1), _integer("neighbor rank j", j, 1)
@@ -269,7 +276,7 @@ def limit_functional(
     does not converge or the combined error estimate exceeds ``tol``, as
     happens when the limit is infinite.
     """
-    if not 0 < tol < math.inf:
+    if (tol := _real("tolerance tol", tol)) <= 0:
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
     dim = density.dim
     inner_tol = tol / 10.0
@@ -300,16 +307,19 @@ class EntropyValue:
     renyi: float
 
 
-def _check_rho(rho: float) -> None:
-    """Refuse an entropy order that is not finite and positive, or is 1."""
-    if not 0 < rho < math.inf or rho == 1.0:
+def _check_rho(rho: float) -> float:
+    """The entropy order rho as a float. A real rho (a bool too) that is not
+    finite and positive, or is 1, raises :class:`InvalidRho`; any other is
+    refused through :func:`_real`."""
+    if isinstance(rho, numbers.Real) and (not 0 < rho < math.inf or rho == 1.0):
         raise InvalidRho(f"rho must be finite, positive and != 1, got {rho}")
+    return _real("rho", rho)  # a string, say, or an int past the largest float
 
 
 def entropy_from_integral(rho: float, i_rho: float) -> EntropyValue:
     """Map a value of the integral of f^rho to both entropies."""
-    _check_rho(rho)
-    if not (i_rho > 0 and math.isfinite(i_rho)):
+    rho = _check_rho(rho)
+    if (i_rho := _real("i_rho", i_rho)) <= 0:
         raise ValueError(f"i_rho must be a positive finite number, got {i_rho}")
     return EntropyValue(
         rho=rho,

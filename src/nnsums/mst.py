@@ -108,6 +108,9 @@ def _delaunay_mst(coords: np.ndarray) -> tuple | None:
     than ``_MIN_SEPARATION`` times the longest. Closer pairs do break it:
     near-duplicate points 1e-12 apart gave a tree with a non-Delaunay edge.
 
+    The edges are the vertex pairs a < b of Qhull's simplices, packed as the
+    keys a * n + b, sorted and deduplicated, so they unpack in (i, j) order
+    and one stable argsort of the squared lengths orders them by (len^2, i, j).
     The search allocates no container per edge, so the garbage collector
     has nothing to track: the heap holds each tree edge's position in the
     sorted order, a plain int that orders as its (len^2, i, j) key does,
@@ -122,22 +125,24 @@ def _delaunay_mst(coords: np.ndarray) -> tuple | None:
         return None
     if len(tri.coplanar):
         return None
-    indptr, nbrs = tri.vertex_neighbor_vertices
-    src = np.repeat(np.arange(n), np.diff(indptr))
-    keep = src < nbrs
-    i, j = src[keep], nbrs[keep]
+    # int64, as a * n + b of the int32 simplices wraps past n = 46 341
+    simplices = np.sort(tri.simplices, axis=1).astype(np.int64)
+    a, b = np.triu_indices(d + 1, 1)
+    keys = (simplices[:, a] * n + simplices[:, b]).ravel()
+    keys.sort()
+    i, j = np.divmod(keys[np.r_[True, keys[1:] != keys[:-1]]], n)
     # the accumulation of Prim's rows, so each length rounds as in Prim
     sq = _sq_dists_to(coords[i], coords[j].T)
     if sq.min() <= _MIN_SEPARATION**2 * sq.max():
         return None
     # distinct ranks 1..m make the tree unique under the order (len^2, i, j)
-    order = np.lexsort((j, i, sq))
+    order = np.argsort(sq, kind="stable")
     rank = np.empty(len(order), dtype=np.float64)
     rank[order] = np.arange(1, len(order) + 1)
     tree = minimum_spanning_tree(coo_matrix((rank, (i, j)), shape=(n, n))).tocoo()
     # the n - 1 tree edges in that order: edge k's key is its index k
     picked = order[np.sort(tree.data.astype(np.intp) - 1)]
-    ti, tj, sq_tree = i[picked], j[picked].astype(np.intp), sq[picked]
+    ti, tj, sq_tree = i[picked], j[picked], sq[picked]
     # row v of the incidence lists the tree edges at vertex v
     ends = np.concatenate([ti, tj])
     by_end = np.argsort(ends, kind="stable")

@@ -34,6 +34,7 @@ from nnsums import (
     check_moment_condition,
     check_power_tail,
     condition_report,
+    entropy_from_integral,
     gamma_constant,
     knn_distances,
     limit_functional,
@@ -42,7 +43,9 @@ from nnsums import (
     poisson_nn_moment,
     run_convergence,
     run_divergence,
+    run_entropy,
     run_moment_probe,
+    sample_poisson_nn_distances,
     statistic_power,
     unit_ball_volume,
 )
@@ -78,6 +81,18 @@ _REFUSED = {
     "report-alpha-bool": (lambda: condition_report(CX, True, 1), "alpha"),
     "report-alpha-nan": (lambda: condition_report(CX, math.nan, 1), "alpha"),
     "probe-p-huge-int": (lambda: run_moment_probe(_config(), 10**400), "p"),
+    # the entropy order, the integral it maps, the tolerance and the intensity
+    "entropy-rho-string": (lambda: run_entropy(_config(), "2"), "rho"),
+    "entropy-map-rho-string": (lambda: entropy_from_integral("2", 1.0), "rho"),
+    "entropy-map-i-rho-bool": (lambda: entropy_from_integral(0.5, True), "i_rho"),
+    "limit-tol-bool": (lambda: limit_functional(np.sqrt, GaussianStandard(2), tol=True), "tol"),
+    "limit-tol-string": (lambda: limit_functional(np.sqrt, GaussianStandard(2), tol="1"), "tol"),
+    "poisson-draws-tau-bool": (
+        lambda: sample_poisson_nn_distances(True, 2, 1, 3, np.random.default_rng(0)),
+        "tau",
+    ),
+    "poisson-moment-tau-string": (lambda: poisson_nn_moment("1", 2, 1, 1.0), "tau"),
+    "poisson-expectation-tau-bools": (lambda: poisson_expectation(np.sqrt, [True], 2, 1), "tau"),
 }
 
 
@@ -130,6 +145,9 @@ _CALLS = {
     ("EstimatorConfig", "alpha"): ("alpha", lambda v: _config(alpha=v)),
     ("run_divergence", "alpha"): ("alpha", lambda v: run_divergence(CX, v, [3, 4], 2, 1, force=True)),
     ("run_moment_probe", "p"): ("p", lambda v: run_moment_probe(_config(), v)),
+    ("entropy_from_integral", "rho"): ("rho", lambda v: entropy_from_integral(v, 0.5)),
+    ("entropy_from_integral", "i_rho"): ("i_rho", lambda v: entropy_from_integral(0.5, v)),
+    ("limit_functional", "tol"): ("tol", lambda v: limit_functional(np.sqrt, GaussianStandard(2), tol=v)),
 }
 
 # bools, integral and non-integral floats, a numpy integer, NaN, +-inf and strings

@@ -223,6 +223,9 @@ def _search_sets():
         for seed in (7, 101, 4242)
     }
     sets["grid"] = _grid(15)  # ties everywhere
+    sets["grid-3d"] = np.array(list(itertools.product(range(6), repeat=3)), dtype=float)
+    # i * n + j of two int32 vertex indices wraps once n passes 46 341
+    sets["uniform-2d-50000"] = np.random.default_rng(46341).random((50000, 2))
     return sets
 
 
