@@ -593,11 +593,11 @@ class PowerLawTail(_RadialModel):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             radii = rng.standard_gamma(self.dim, n) / rng.standard_gamma(self.beta - self.dim, n)
             directions = rng.standard_normal((n, self.dim))
-            norms = np.linalg.norm(directions, axis=1)
+            norms = np.sqrt(_squared_norms(directions))
             while np.any(norms == 0.0):  # pragma: no cover - probability zero
                 bad = norms == 0.0
                 directions[bad] = rng.standard_normal((int(bad.sum()), self.dim))
-                norms = np.linalg.norm(directions, axis=1)
+                norms = np.sqrt(_squared_norms(directions))
             points = radii[:, None] * directions / norms[:, None]
         if not np.isfinite(points).all():
             # P(Gamma(a) < x) is about x^a / Gamma(a + 1): at a small a = beta - d

@@ -47,6 +47,7 @@ joins a lane and the stacked sums differ in their last bits.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -97,6 +98,10 @@ _STACK_POINTS = 1024
 
 # A level seeds its replications' streams this many at a time (_level_values).
 _SEED_BLOCK = 4096
+
+# The JSON report's rows are formatted and written this many at a time, which
+# bounds their memory (ExperimentResult.write_json).
+_JSON_ROW_CHUNK = 1024
 
 # A replication index is one 32-bit word of its stream's entropy
 # (_level_streams), and 2^32 values alone take 32 GiB.
@@ -393,23 +398,46 @@ class ExperimentResult:
         """Write ``json.dumps(self.to_json_dict(), indent=2, sort_keys=True,
         allow_nan=False)`` and a newline to ``path``, byte for byte.
 
-        An indented dump runs json's pure-Python encoder, so each row, a flat
-        dict of scalars, goes through its C encoder with the item separator
-        ",\\n      ": that gives the row's indented lines between its braces,
-        as an encoded string holds no raw newline. The rows are streamed into
-        the place of the empty row list in the indented dump of the rest. A
-        non-finite value raises ValueError and leaves no file.
+        The seven fields every row shares are encoded once, by json, into a
+        ``%`` template of one indented row; its ``%s`` slots take abs_error,
+        n, replication and value, the sorted order of their keys. str of an
+        int or a float is its repr, which is what json writes, and abs_error
+        is ``abs(value - target)`` taken in numpy, the same IEEE operations
+        as :meth:`csv_rows`. The rows are filled in ``_JSON_ROW_CHUNK`` at a
+        time and streamed into the place of the empty row list in the
+        indented dump of the rest. A non-finite value or abs_error raises
+        ValueError and leaves no file.
         """
-        row_json = json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(",\n      ", ": "))
+        target = self._target_cell()
+        numeric = isinstance(target, float)
         try:
             with open(path, "w") as fh:
                 rest = json.dumps(self._json_dict([]), indent=2, sort_keys=True, allow_nan=False)
+                cells = {
+                    key: json.dumps(value).replace("%", "%%")
+                    for key, value in {**self._header(), "target": target}.items()
+                }
+                cells |= dict.fromkeys(("abs_error", "n", "replication", "value"), "%s")
+                row = ",\n".join(f'      "{k}": {cells[k]}' for k in sorted(cells))
+                row = "    {\n" + row + "\n    }"
                 head, tail = rest.split('\n  "rows": []', 1)
                 fh.write(head + '\n  "rows": [')
-                for i, row in enumerate(self.csv_rows()):
-                    inner = row_json.encode(row)[1:-1]
-                    fh.write((",\n" if i else "\n") + "    {\n      " + inner + "\n    }")
-                fh.write(("\n  ]" if self.levels else "]") + tail + "\n")
+                sep = "\n"
+                for n, values in self.levels:
+                    for lo in range(0, len(values), _JSON_ROW_CHUNK):
+                        chunk = values[lo : lo + _JSON_ROW_CHUNK]
+                        with np.errstate(over="ignore"):
+                            errors = np.abs(chunk - target) if numeric else chunk
+                        if not np.isfinite(errors).all():
+                            raise ValueError(
+                                f"Out of range float values are not JSON compliant: at n={n}"
+                            )
+                        errors = errors.tolist() if numeric else itertools.repeat("null")
+                        reps = range(lo, lo + len(chunk))
+                        fills = zip(errors, itertools.repeat(n), reps, chunk.tolist())
+                        fh.write(sep + ",\n".join(map(row.__mod__, fills)))
+                        sep = ",\n"
+                fh.write(("]" if sep == "\n" else "\n  ]") + tail + "\n")
         except ValueError:
             # A non-finite value: leave no truncated report behind.
             os.remove(path)
@@ -551,7 +579,14 @@ def _stack_values(model, n, j, alpha, seed, reps, seat) -> list:
         coords = np.empty((s, n, d + 1))
         draws = coords[..., :d]
         model._sample_stack(seat, reps, n, draws)
-        gap = 2.0 * float((draws.max(axis=(0, 1)) - draws.min(axis=(0, 1))).sum()) + 1.0
+        # the spans summed left to right, as numpy sums d < 8 terms, but each
+        # taken from one coordinate's (s, n) view: numpy's reduction over an
+        # inner axis of length d took 61 us a stack against 9 us
+        span = 0.0
+        for c in range(d):
+            coord = draws[..., c]
+            span += float(coord.max() - coord.min())
+        gap = 2.0 * span + 1.0
         if math.isfinite(gap * (s - 1)):
             coords[..., d] = (np.arange(s) * gap)[:, None]
             xs = PointSet(coords.reshape(s * n, d + 1))

@@ -83,7 +83,7 @@ def _check_poisson_law(tau, d: int, j: int, alpha: float = 0.0) -> tuple[int, in
             raise ConfigError(f"intensity tau must hold real numbers, got dtype {taus.dtype}")
         taus = np.asarray(_real("intensity tau", tau))
     if not np.all((taus > 0) & (taus < math.inf)):
-        raise ValueError(f"intensity must be positive and finite, got {tau}")
+        raise ValueError(f"intensity tau must be positive and finite, got {tau}")
     d, j = _integer("dimension d", d, 1), _integer("neighbor rank j", j, 1)
     alpha = _real("alpha", alpha)
     if j + alpha / d <= 0:

@@ -175,12 +175,15 @@ def _row_sums(dists: np.ndarray, weight) -> tuple:
     power would turn those distances into zero summands and the row into a
     finite, wrong total. A row with a non-finite summand, or whose finite
     summands overflow, is left non-finite too, so a non-finite total marks
-    every degenerate row.
+    every degenerate row. The rows are searched for an inf only when the
+    array's maximum, one reduction, is not finite.
     """
     with np.errstate(all="ignore"):
         vals = weight(dists)
         totals = vals.sum(axis=-1)
-    return np.where(np.isinf(dists).any(axis=-1), np.nan, totals), vals
+    if not np.isfinite(dists.max()):
+        totals = np.where(np.isinf(dists).any(axis=-1), np.nan, totals)
+    return totals, vals
 
 
 def _power_row_sums(dists: np.ndarray, d: int, alpha: float) -> np.ndarray:

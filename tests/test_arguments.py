@@ -148,6 +148,13 @@ _CALLS = {
     ("entropy_from_integral", "rho"): ("rho", lambda v: entropy_from_integral(v, 0.5)),
     ("entropy_from_integral", "i_rho"): ("i_rho", lambda v: entropy_from_integral(0.5, v)),
     ("limit_functional", "tol"): ("tol", lambda v: limit_functional(np.sqrt, GaussianStandard(2), tol=v)),
+    # the Poisson law's intensity
+    ("poisson_nn_moment", "tau"): ("tau", lambda v: poisson_nn_moment(v, 2, 1, 1.0)),
+    ("poisson_expectation", "tau"): ("tau", lambda v: poisson_expectation(np.sqrt, v, 2, 1)),
+    ("sample_poisson_nn_distances", "tau"): (
+        "tau",
+        lambda v: sample_poisson_nn_distances(v, 2, 1, 3, np.random.default_rng(0)),
+    ),
 }
 
 # bools, integral and non-integral floats, a numpy integer, NaN, +-inf and strings

@@ -380,6 +380,18 @@ def test_squared_norms_equal_the_row_sum(d):
     assert np.array_equal(densities._squared_norms(stack), (stack * stack).sum(axis=-1))
 
 
+@pytest.mark.parametrize("d", range(1, 13))
+def test_root_of_squared_norms_equals_linalg_norm(d):
+    # the power law's direction norms are bitwise np.linalg.norm's, whose
+    # squares near 1e-300 and 1e300 sit at the ends of the float range
+    rng = np.random.default_rng([d, 13])
+    for scale in (1e-150, 1e-50, 1.0, 1e50, 1e150):
+        for _ in range(20):
+            v = scale * rng.standard_normal((257, d))
+            norms = np.linalg.norm(v, axis=1)
+            assert np.array_equal(np.sqrt(densities._squared_norms(v)), norms), scale
+
+
 def _stream(seed, n, rep):
     return np.random.default_rng(np.random.SeedSequence((seed, n, rep, 0)))
 

@@ -3,6 +3,7 @@ import gc
 import itertools
 import json
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -365,8 +366,8 @@ def test_write_json_refuses_non_finite(tmp_path):
 
 
 def _assert_writes_indented_dump(result, path):
-    # write_json encodes the rows through json's C encoder; its bytes must be
-    # those of the plain indented dump
+    # write_json fills a row template encoded once; its bytes must be those
+    # of the plain indented dump
     result.write_json(path)
     want = json.dumps(result.to_json_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
     assert path.read_bytes() == want.encode()
@@ -404,6 +405,27 @@ def test_write_json_equals_the_indented_dump(tmp_path):
             trend={"rows": [], "nested": {"rows": [1, 2]}, "s": "}\n  ]"},
             phi="\u2603",
         ),
+        # format directives in the strings the row template holds
+        "directives": ExperimentResult(
+            experiment="%s %d %%",
+            model_name="{n} {0} {{",
+            d=2,
+            j=1,
+            alpha=1.5,
+            q=1,
+            target="%(n)s",
+            levels=[(3, np.array([0.5, 2.0]))],
+        ),
+        # floats whose repr json writes with a sign, an exponent or 17 digits
+        "numeric_target": ExperimentResult(
+            "converge", "uniform", d=2, j=1, alpha=1.0, q=1, target=0.1,
+            levels=[(4, np.array([-0.0, 5e-324, 1e16, 0.1, 1 / 3]))],
+        ),
+        # n and replication past 9, over several levels
+        "many_rows": ExperimentResult(
+            "converge", "uniform", d=2, j=1, alpha=1.0, q=2, target=1 / 3,
+            levels=[(n, np.linspace(-1.0, 1.0, n) ** 3) for n in (7, 12, 120, 1031)],
+        ),
     }
     for name, result in results.items():
         _assert_writes_indented_dump(result, tmp_path / f"{name}.json")
@@ -421,6 +443,35 @@ def test_write_json_refuses_nan_and_leaves_no_file(tmp_path, where):
     with pytest.raises(ValueError, match="not JSON compliant"):
         result.write_json(path)
     assert not path.exists()
+
+
+def test_write_json_refuses_an_overflowing_abs_error_and_leaves_no_file(tmp_path):
+    # value and target are finite, but |value - target| is not
+    result = ExperimentResult(
+        "converge", "uniform", d=2, j=1, alpha=1.0, q=1, target=-1.5e308,
+        levels=[(2, np.array([0.0, 1.5e308]))],
+    )
+    path = tmp_path / "out.json"
+    path.write_text("an earlier report\n")
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        result.write_json(path)
+    assert not path.exists()
+
+
+def test_write_json_streams_its_rows(tmp_path):
+    # the rows are formatted a bounded chunk at a time: joined in memory, the
+    # 100 000 rows of this level take tens of MiB
+    result = ExperimentResult(
+        "converge", "uniform", d=2, j=1, alpha=1.0, q=1, target=0.5,
+        levels=[(100_000, np.random.default_rng(3).random(100_000))],
+    )
+    tracemalloc.start()
+    try:
+        result.write_json(tmp_path / "out.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 # ---------------------------------------------------------------------------
@@ -802,6 +853,28 @@ def test_a_stack_too_wide_for_a_finite_offset_runs_one_tree_per_replication(
     assert _probe_values(model, 2, 1, 1.0, 6, 40) == expected
     assert expected[1] == 0.0 and expected[0] > 0.0
     assert tree_counts["knn_dim_3"] == 0 and tree_counts["per_replication"] == 40
+
+
+def test_a_stack_far_wider_in_y_than_in_x_keeps_its_replications_apart(
+    monkeypatch, tree_counts
+):
+    # y spans 1000 times x: a gap taken from the x span alone would let a
+    # point's nearest neighbour come from the next replication
+    model = UniformConvexUnion.unit_cube(2)
+    draw = model.sample
+
+    def sample(rng, size):
+        pts = draw(rng, size)
+        pts[:, 1] *= 1000.0
+        return pts
+
+    monkeypatch.setattr(model, "sample", sample)
+    for n in (2, 8, 64):
+        expected = _one_tree_each(model, n, 1, 1.0, 11, 40)
+        tree_counts.clear()
+        assert _probe_values(model, n, 1, 1.0, 11, 40) == expected, n
+        assert tree_counts["knn_dim_3"] == -(-40 // (1024 // n))
+        assert tree_counts["per_replication"] == 0
 
 
 def test_degenerate_draws_of_an_unstacked_level_resample_from_their_streams(monkeypatch):

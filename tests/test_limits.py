@@ -266,7 +266,7 @@ def test_poisson_expectation_scalar_intensity_returns_floats():
 
 def test_poisson_expectation_rejects_nonpositive_intensity():
     for tau in (0.0, -1.0, math.nan, np.array([1.0, 0.0])):
-        with pytest.raises(ValueError, match="intensity must be positive"):
+        with pytest.raises(ValueError, match="intensity tau must be positive and finite"):
             poisson_expectation(np.sqrt, tau, 2, 1)
 
 
