@@ -70,9 +70,13 @@ class Box:
         return np.all((x >= lo) & (x <= hi), axis=-1)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        return lo + (hi - lo) * rng.random((n, self.dim))
+        # lo + (hi - lo) * u a column at a time: the same operations as a
+        # broadcast of the corners over the rows, without its short inner loops
+        points = rng.random((n, self.dim))
+        for c, (lo, hi) in enumerate(zip(self.lo, self.hi)):
+            points[:, c] *= hi - lo
+            points[:, c] += lo
+        return points
 
 
 @dataclass(frozen=True)
@@ -108,7 +112,12 @@ class Ball:
         return np.sum(diff * diff, axis=-1) <= self.radius**2
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.asarray(self.center) + self.radius * _unit_ball_sample(rng, n, self.dim)
+        # center + radius * v, the center added a column at a time as in Box.sample
+        points = _unit_ball_sample(rng, n, self.dim)
+        points *= self.radius
+        for c, center in enumerate(self.center):
+            points[:, c] += center
+        return points
 
 
 def _unit_ball_sample(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
@@ -430,6 +439,11 @@ class UniformConvexUnion(DensityModel):
         return float(out) if out.ndim == 0 else out
 
     def sample(self, rng, n):
+        if len(self.bodies) == 1:
+            # rng.choice below draws n doubles even for one body; drawing
+            # them here keeps the stream, and every point is that body's
+            rng.random(n)
+            return self.bodies[0].sample(rng, n)
         probs = np.array([b.volume for b in self.bodies]) / self.total_volume
         idx = rng.choice(len(self.bodies), size=n, p=probs)
         out = np.empty((n, self.dim))
@@ -598,7 +612,11 @@ class PowerLawTail(_RadialModel):
                 bad = norms == 0.0
                 directions[bad] = rng.standard_normal((int(bad.sum()), self.dim))
                 norms = np.sqrt(_squared_norms(directions))
-            points = radii[:, None] * directions / norms[:, None]
+            # radius * direction / norm a column at a time, as in Box.sample
+            points = directions
+            for col in points.T:
+                col *= radii
+                col /= norms
         if not np.isfinite(points).all():
             # P(Gamma(a) < x) is about x^a / Gamma(a + 1): at a small a = beta - d
             # some draws fall below 1e-308, and their radii overflow

@@ -47,6 +47,7 @@ joins a lane and the stacked sums differ in their last bits.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import math
@@ -99,9 +100,9 @@ _STACK_POINTS = 1024
 # A level seeds its replications' streams this many at a time (_level_values).
 _SEED_BLOCK = 4096
 
-# The JSON report's rows are formatted and written this many at a time, which
-# bounds their memory (ExperimentResult.write_json).
-_JSON_ROW_CHUNK = 1024
+# A report's rows are formatted and written this many at a time, which
+# bounds their memory (ExperimentResult.write_csv and write_json).
+_ROW_CHUNK = 1024
 
 # A replication index is one 32-bit word of its stream's entropy
 # (_level_streams), and 2^32 values alone take 32 GiB.
@@ -374,12 +375,44 @@ class ExperimentResult:
                     "abs_error": abs(value - target) if numeric_target else None,
                 }
 
+    def _row_chunks(self):
+        """Each level's rows, ``_ROW_CHUNK`` at a time, as (n, replications,
+        values, abs errors): the values and errors are float64 arrays, and
+        the errors are None when the target is not a float. abs_error is
+        ``abs(value - target)`` taken in numpy, the same IEEE operations as
+        :meth:`csv_rows`."""
+        target = self._target_cell()
+        numeric = isinstance(target, float)
+        for n, values in self.levels:
+            for lo in range(0, len(values), _ROW_CHUNK):
+                chunk = values[lo : lo + _ROW_CHUNK]
+                with np.errstate(over="ignore"):
+                    errors = np.abs(chunk - target) if numeric else None
+                yield n, range(lo, lo + len(chunk)), chunk, errors
+
     def write_csv(self, path) -> None:
+        """Write what ``csv.writer`` writes for the header and, for each row
+        of :meth:`csv_rows`, ``_fmt`` of its cells, byte for byte.
+
+        The cells every row shares are encoded once, by the csv module, into
+        a ``%`` template whose ``%s`` slots take n, replication, value and
+        abs_error; str of an int or a float is its ``_fmt``. The rows are
+        filled and written a chunk at a time (:meth:`_row_chunks`).
+        """
+        cells = {
+            key: _fmt(value).replace("%", "%%")
+            for key, value in {**self._header(), "target": self._target_cell()}.items()
+        }
+        cells |= dict.fromkeys(("n", "replication", "value", "abs_error"), "%s")
+        line = io.StringIO()
+        csv.writer(line).writerow([cells[c] for c in _CSV_COLUMNS])
+        row = line.getvalue()
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_CSV_COLUMNS)
-            for row in self.csv_rows():
-                writer.writerow([_fmt(row[c]) for c in _CSV_COLUMNS])
+            csv.writer(fh).writerow(_CSV_COLUMNS)
+            for n, reps, chunk, errors in self._row_chunks():
+                errors = itertools.repeat("") if errors is None else errors.tolist()
+                fills = zip(itertools.repeat(n), reps, chunk.tolist(), errors)
+                fh.write("".join(map(row.__mod__, fills)))
 
     def _json_dict(self, rows: list) -> dict:
         return {
@@ -402,20 +435,17 @@ class ExperimentResult:
         ``%`` template of one indented row; its ``%s`` slots take abs_error,
         n, replication and value, the sorted order of their keys. str of an
         int or a float is its repr, which is what json writes, and abs_error
-        is ``abs(value - target)`` taken in numpy, the same IEEE operations
-        as :meth:`csv_rows`. The rows are filled in ``_JSON_ROW_CHUNK`` at a
-        time and streamed into the place of the empty row list in the
-        indented dump of the rest. A non-finite value or abs_error raises
-        ValueError and leaves no file.
+        is ``abs(value - target)`` (:meth:`_row_chunks`). The rows are
+        filled a chunk at a time and streamed into the place of the empty
+        row list in the indented dump of the rest. A non-finite value or
+        abs_error raises ValueError and leaves no file.
         """
-        target = self._target_cell()
-        numeric = isinstance(target, float)
         try:
             with open(path, "w") as fh:
                 rest = json.dumps(self._json_dict([]), indent=2, sort_keys=True, allow_nan=False)
                 cells = {
                     key: json.dumps(value).replace("%", "%%")
-                    for key, value in {**self._header(), "target": target}.items()
+                    for key, value in {**self._header(), "target": self._target_cell()}.items()
                 }
                 cells |= dict.fromkeys(("abs_error", "n", "replication", "value"), "%s")
                 row = ",\n".join(f'      "{k}": {cells[k]}' for k in sorted(cells))
@@ -423,20 +453,15 @@ class ExperimentResult:
                 head, tail = rest.split('\n  "rows": []', 1)
                 fh.write(head + '\n  "rows": [')
                 sep = "\n"
-                for n, values in self.levels:
-                    for lo in range(0, len(values), _JSON_ROW_CHUNK):
-                        chunk = values[lo : lo + _JSON_ROW_CHUNK]
-                        with np.errstate(over="ignore"):
-                            errors = np.abs(chunk - target) if numeric else chunk
-                        if not np.isfinite(errors).all():
-                            raise ValueError(
-                                f"Out of range float values are not JSON compliant: at n={n}"
-                            )
-                        errors = errors.tolist() if numeric else itertools.repeat("null")
-                        reps = range(lo, lo + len(chunk))
-                        fills = zip(errors, itertools.repeat(n), reps, chunk.tolist())
-                        fh.write(sep + ",\n".join(map(row.__mod__, fills)))
-                        sep = ",\n"
+                for n, reps, chunk, errors in self._row_chunks():
+                    if not np.isfinite(chunk if errors is None else errors).all():
+                        raise ValueError(
+                            f"Out of range float values are not JSON compliant: at n={n}"
+                        )
+                    errors = itertools.repeat("null") if errors is None else errors.tolist()
+                    fills = zip(errors, itertools.repeat(n), reps, chunk.tolist())
+                    fh.write(sep + ",\n".join(map(row.__mod__, fills)))
+                    sep = ",\n"
                 fh.write(("]" if sep == "\n" else "\n  ]") + tail + "\n")
         except ValueError:
             # A non-finite value: leave no truncated report behind.

@@ -125,10 +125,14 @@ def _delaunay_mst(coords: np.ndarray) -> tuple | None:
         return None
     if len(tri.coplanar):
         return None
-    # int64, as a * n + b of the int32 simplices wraps past n = 46 341
-    simplices = np.sort(tri.simplices, axis=1).astype(np.int64)
+    # each vertex pair of each simplex, smaller vertex first; int64, as
+    # a * n + b of the int32 simplices wraps past n = 46 341
+    s = tri.simplices
     a, b = np.triu_indices(d + 1, 1)
-    keys = (simplices[:, a] * n + simplices[:, b]).ravel()
+    keys = np.minimum(s[:, a], s[:, b]).astype(np.int64)
+    keys *= n
+    keys += np.maximum(s[:, a], s[:, b])
+    keys = keys.ravel()
     keys.sort()
     i, j = np.divmod(keys[np.r_[True, keys[1:] != keys[:-1]]], n)
     # the accumulation of Prim's rows, so each length rounds as in Prim

@@ -344,6 +344,78 @@ def test_unit_ball_sample_rewinds_every_bit_generator(bit_generator, buffered):
             _assert_ball_sample_as_round_by_round(lambda: make_rng(n * 10 + d), n, d)
 
 
+def _choice_union_sample(model, rng, n):
+    # the many-body draw: pick each point's body by rng.choice, then fill
+    # each body's rows, the points placed by broadcasting over the rows
+    probs = np.array([b.volume for b in model.bodies]) / model.total_volume
+    idx = rng.choice(len(model.bodies), size=n, p=probs)
+    out = np.empty((n, model.dim))
+    for b_i, body in enumerate(model.bodies):
+        mask = idx == b_i
+        count = int(mask.sum())
+        if not count:
+            continue
+        if isinstance(body, Box):
+            lo, hi = np.asarray(body.lo), np.asarray(body.hi)
+            out[mask] = lo + (hi - lo) * rng.random((count, model.dim))
+        else:
+            v = densities._unit_ball_sample(rng, count, model.dim)
+            out[mask] = np.asarray(body.center) + body.radius * v
+    return out
+
+
+_ONE_BODY_UNIONS = [
+    UniformConvexUnion.unit_cube(1),
+    UniformConvexUnion([Box(lo=(-3.0, 0.1), hi=(0.7, 1e3))]),
+    UniformConvexUnion([Box(lo=(-1e-3, 5.0, 2.0), hi=(1e-3, 6.5, 2.25))]),
+    UniformConvexUnion([Ball(center=(0.3, -7.0), radius=2.5)]),
+    UniformConvexUnion([Ball(center=(1e5, 0.0, -0.1), radius=1e-3)]),
+]
+
+
+@pytest.mark.parametrize(
+    "bit_generator", [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64]
+)
+@pytest.mark.parametrize("buffered", [False, True])
+def test_one_body_union_draws_as_the_choice_path(bit_generator, buffered):
+    # one body skips rng.choice and the scatter, but still draws its n
+    # doubles: the points and the generator's state after them are the same
+    def make_rng(seed):
+        rng = np.random.Generator(bit_generator(seed))
+        if buffered:
+            rng.integers(0, 1000, dtype=np.uint32)
+        return rng
+
+    for m, model in enumerate(_ONE_BODY_UNIONS):
+        for n in (0, 1, 2, 17, 2000):
+            rng, ref_rng = make_rng([m, n]), make_rng([m, n])
+            got = model.sample(rng, n)
+            want = _choice_union_sample(model, ref_rng, n)
+            assert got.shape == want.shape and np.array_equal(got, want), (m, n)
+            assert _same_state(rng.bit_generator.state, ref_rng.bit_generator.state), (m, n)
+
+
+def test_many_body_union_places_points_as_the_broadcast():
+    model = UniformConvexUnion(
+        [Box(lo=(-3.0, 0.1), hi=(0.7, 1e3)), Ball(center=(5.0, -7.0), radius=2.5)]
+    )
+    for n in (1, 17, 2000):
+        got = model.sample(np.random.default_rng(n), n)
+        assert np.array_equal(got, _choice_union_sample(model, np.random.default_rng(n), n))
+
+
+@pytest.mark.parametrize("d, beta", [(1, 1.5), (2, 6.0), (3, 7.0)])
+def test_power_law_places_points_as_the_broadcast(d, beta):
+    # radius * direction / norm, a column at a time, is the broadcast's arithmetic
+    model = PowerLawTail(d, beta)
+    rng = np.random.default_rng([d, 4])
+    radii = rng.standard_gamma(d, 3000) / rng.standard_gamma(beta - d, 3000)
+    directions = rng.standard_normal((3000, d))
+    norms = np.sqrt(densities._squared_norms(directions))
+    want = radii[:, None] * directions / norms[:, None]
+    assert np.array_equal(model.sample(np.random.default_rng([d, 4]), 3000), want)
+
+
 def test_unit_ball_sample_round_memory_is_capped():
     # at d = 10 one candidate in 400 lands inside: an uncapped draw-ahead
     # round would hold about 400 times the points of the round-by-round one

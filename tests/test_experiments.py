@@ -1,5 +1,7 @@
 import argparse
+import csv
 import gc
+import io
 import itertools
 import json
 import math
@@ -383,8 +385,8 @@ def _estimate_report(tmp_path, weight):
     return result
 
 
-def test_write_json_equals_the_indented_dump(tmp_path):
-    results = {
+def _report_cases(tmp_path) -> dict:
+    return {
         "converge": run_convergence(_config(n_grid=(20, 40), replications=3)),
         "diverge": run_divergence(CX, 1.5, range(2, 6), 3, 7)[1],
         "entropy": run_entropy(_config(n_grid=(20, 40), replications=3), rho=0.5),
@@ -426,9 +428,37 @@ def test_write_json_equals_the_indented_dump(tmp_path):
             "converge", "uniform", d=2, j=1, alpha=1.0, q=2, target=1 / 3,
             levels=[(n, np.linspace(-1.0, 1.0, n) ** 3) for n in (7, 12, 120, 1031)],
         ),
+        # no target: empty target and abs_error cells
+        "none_target": ExperimentResult(
+            "probe", "gaussian", d=2, j=1, alpha=0.5, q=1, target=None,
+            levels=[(n, np.linspace(0.0, 2.0, n) ** 0.5) for n in (3, 1500)],
+        ),
     }
-    for name, result in results.items():
+
+
+def test_write_json_equals_the_indented_dump(tmp_path):
+    for name, result in _report_cases(tmp_path).items():
         _assert_writes_indented_dump(result, tmp_path / f"{name}.json")
+
+
+def test_write_csv_equals_the_csv_module_rows(tmp_path):
+    # write_csv fills a row template encoded once; its bytes must be those
+    # csv.writer writes for the formatted cells of every row
+    cases = _report_cases(tmp_path)
+    # the CSV report, unlike the JSON one, takes non-finite values
+    cases["non_finite"] = ExperimentResult(
+        "converge", "uniform", d=2, j=1, alpha=1.0, q=1, target=-1.5e308,
+        levels=[(5, np.array([math.nan, math.inf, -math.inf, 1.5e308, 0.0]))],
+    )
+    for name, result in cases.items():
+        path = tmp_path / f"{name}.csv"
+        result.write_csv(path)
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(experiments._CSV_COLUMNS)
+        for row in result.csv_rows():
+            writer.writerow([experiments._fmt(row[c]) for c in experiments._CSV_COLUMNS])
+        assert path.read_bytes() == want.getvalue().encode(), name
 
 
 @pytest.mark.parametrize("where", ["row", "summary"])

@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,10 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nnsums import (
+    AnnulusBallCounterexample,
+    Ball,
+    Box,
     DegenerateStatistic,
+    GaussianStandard,
     NeighborQuery,
     PointSet,
     PowerLawTail,
+    UniformConvexUnion,
     build_index,
     knn_distances,
     nn_distance_bruteforce,
@@ -17,6 +24,7 @@ from nnsums import (
     statistic_phi,
     statistic_power,
 )
+from nnsums import neighbors
 
 LINE = PointSet([0.0, 1.0, 3.0])
 
@@ -89,9 +97,17 @@ def test_index_refuses_foreign_point_set():
         nn_distance_indexed(other, NeighborQuery(j=1, index=0), index)
 
 
-# d >= 8 checks the oracle's four-lane order of the kernel's sum
-@pytest.mark.parametrize("d", [1, 2, 5, 8, 9, 12])
-@pytest.mark.parametrize("n", [2, 3, 17, 100, 1024, 1025])
+# d >= 8 checks the oracle's four-lane order of the kernel's sum; the sets of
+# 2 048 points fill their box, so they meet the oracle through midpoint splits
+@pytest.mark.parametrize(
+    "n, d",
+    [
+        *itertools.product([2, 3, 17, 100, 1024, 1025], [1, 2, 5, 8, 9, 12]),
+        (2048, 1),
+        (2048, 2),
+        (2048, 3),
+    ],
+)
 def test_knn_distances_equal_bruteforce_with_duplicates(n, d):
     # duplicated points put exact zeros and ties in play
     rng = np.random.default_rng([n, d])
@@ -99,6 +115,7 @@ def test_knn_distances_equal_bruteforce_with_duplicates(n, d):
     dup = rng.integers(0, n, size=n // 3)
     pts[rng.integers(0, n, size=n // 3)] = pts[dup]
     xs = PointSet(pts)
+    assert neighbors._fills_its_box(xs.coords) == (n >= 2000)
     for j in (1, 2):
         expected = np.array(
             [nn_distance_bruteforce(xs, NeighborQuery(j=j, index=i)) for i in range(n)]
@@ -106,6 +123,49 @@ def test_knn_distances_equal_bruteforce_with_duplicates(n, d):
         got = knn_distances(xs, j)
         assert got.dtype == expected.dtype
         np.testing.assert_array_equal(got, expected)
+
+
+# the catalog laws, with whether their samples of 2 000 points or more fill
+# their box: the uniform unions do, the Gaussian and the heavy tails do not
+_SPLIT_LAWS = {
+    "unit_square": (lambda: UniformConvexUnion.unit_cube(2), True),
+    "unit_cube": (lambda: UniformConvexUnion.unit_cube(3), True),
+    "segment": (lambda: UniformConvexUnion.unit_cube(1), True),
+    "disc": (lambda: UniformConvexUnion([Ball((0.0, 0.0), 1.0)]), True),
+    "ball_3d": (lambda: UniformConvexUnion([Ball((0.0, 0.0, 0.0), 1.0)]), True),
+    "box_and_disc": (
+        lambda: UniformConvexUnion([Box((0.0, 0.0), (1.0, 2.0)), Ball((3.0, 3.0), 1.0)]),
+        True,
+    ),
+    "gaussian_2d": (lambda: GaussianStandard(2), False),
+    "gaussian_3d": (lambda: GaussianStandard(3), False),
+    "power_law_2d": (lambda: PowerLawTail(2, 6.0), False),
+    "power_law_heavy": (lambda: PowerLawTail(2, 3.5), False),
+    "counterexample_2d": (lambda: AnnulusBallCounterexample(2, 1.5), False),
+}
+
+
+@pytest.mark.parametrize("n", [2000, 20_000])
+@pytest.mark.parametrize("name", sorted(_SPLIT_LAWS))
+def test_split_rule_follows_the_law(name, n):
+    make, fills = _SPLIT_LAWS[name]
+    for seed in range(3):
+        coords = make().sample(np.random.default_rng([seed, n]), n)
+        assert neighbors._fills_its_box(coords) is fills, seed
+    # below the size floor every set keeps the median splits
+    assert neighbors._fills_its_box(coords[:1999]) is False
+
+
+def test_split_rule_is_definite_near_the_float_maximum():
+    # the spread is taken on shifted and scaled coordinates: the squares of
+    # raw coordinates of 1e300 would overflow and warn
+    unit = np.random.default_rng(5).random((4000, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert neighbors._fills_its_box(1e300 * (2.0 * unit - 1.0)) is True
+        # a range that overflows, and a coordinate with no range, give False
+        assert neighbors._fills_its_box(1.7e308 * (2.0 * unit - 1.0)) is False
+        assert neighbors._fills_its_box(np.column_stack([unit[:, 0], np.ones(4000)])) is False
 
 
 def _repeated_point_set():

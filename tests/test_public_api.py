@@ -209,3 +209,25 @@ def test_private_names_taken_across_modules_are_listed():
     found = _private_imports()
     assert not found - PRIVATE_IMPORTS, f"unlisted: {sorted(found - PRIVATE_IMPORTS)}"
     assert not PRIVATE_IMPORTS - found, f"no longer taken: {sorted(PRIVATE_IMPORTS - found)}"
+
+
+
+def test_the_package_builds_kd_trees_in_one_place():
+    # NeighborIndex.__init__ picks each tree's split rule from its sample; a
+    # tree built anywhere else in the package would bypass that choice
+    trees = {"cKDTree", "KDTree"}
+    uses = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}"
+        if isinstance(node, ast.alias) and node.name in trees and node.asname:
+            uses.append(f"{scope}: imported as {node.asname}")
+        if getattr(node, "id", None) in trees or getattr(node, "attr", None) in trees:
+            uses.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted((ROOT / "src" / "nnsums").glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert uses == ["neighbors.NeighborIndex.__init__"], uses
