@@ -279,7 +279,10 @@ class DensityModel(ABC):
         """
 
     def i_rho_is_finite(self, rho: float) -> bool:
-        return math.isfinite(self.i_rho(rho))
+        """Whether I_rho is finite, read off the parameters without
+        evaluating it: an integral past the largest float counts as finite.
+        Every order rho > 0, and no other, unless the model says otherwise."""
+        return rho > 0
 
     @abstractmethod
     def critical_moment(self) -> float:
@@ -462,6 +465,9 @@ class UniformConvexUnion(DensityModel):
             lambda: (1.0 - rho) * math.log(self.total_volume),
         )
 
+    def i_rho_is_finite(self, rho):
+        return True
+
     def critical_moment(self):
         return math.inf
 
@@ -591,7 +597,11 @@ class PowerLawTail(_RadialModel):
             raise ValueError(f"beta must exceed the dimension, got beta={beta}, d={dim}")
         self.beta = beta
         log_b = math.lgamma(dim) + math.lgamma(beta - dim) - math.lgamma(beta)
-        self.c_beta = 1.0 / (dim * unit_ball_volume(dim) * math.exp(log_b))
+        # the denominator underflows in high dimension, from d = 436 at beta = d + 1
+        denominator = dim * unit_ball_volume(dim) * math.exp(log_b)
+        self.c_beta = 1.0 / denominator if denominator > 0 else math.inf
+        if math.isinf(self.c_beta):
+            raise ConfigError(f"c_beta is not a finite float at d = {dim}, beta = {beta!r}")
 
     def _profile(self, s: np.ndarray) -> np.ndarray:
         return self.c_beta * (1.0 + s) ** (-self.beta)

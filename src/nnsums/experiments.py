@@ -264,26 +264,28 @@ def mann_kendall_increasing(values) -> MannKendallResult:
     """Mann-Kendall test for an increasing trend.
 
     Exact permutation p-value up to 8 observations, normal approximation
-    with continuity correction beyond that. The exact branch counts
-    inversions instead of walking the m! permutations: a permutation of the
-    values has S = T - 2 * inv, with T the number of untied pairs, so the
-    share of permutations with S >= s is the share of distinct arrangements
-    with at most (T - s) / 2 inversions (Kendall & Gibbons, Rank Correlation
-    Methods, 1990). The ratio of the two integer counts rounds once, so p is
-    the float the permutation walk gives.
+    with continuity correction beyond that (Kendall & Gibbons, Rank
+    Correlation Methods, 1990). The exact branch counts inversions instead
+    of walking the m! permutations: a permutation of the values has
+    S = T - 2 * inv, with T the number of untied pairs, so the share of
+    permutations with S >= s is the share of distinct arrangements with at
+    most (T - s) / 2 inversions. The ratio of the two integer counts rounds
+    once, so p is the float the permutation walk gives. The normal branch's
+    variance of S takes t(t-1)(2t+5) / 18 off for each group of t ties.
     """
     vals = [_real(f"the value at position {i}", v) for i, v in enumerate(values)]
     m = len(vals)
     s = sum(
         (vals[b] > vals[a]) - (vals[b] < vals[a]) for a in range(m) for b in range(a + 1, m)
     )
+    multiplicities = list(Counter(vals).values())
     if m <= 8:
-        multiplicities = list(Counter(vals).values())
         untied = m * (m - 1) // 2 - sum(g * (g - 1) // 2 for g in multiplicities)
         counts = _inversion_counts(multiplicities)
         at_least = sum(counts[: (untied - s) // 2 + 1])
         return MannKendallResult(s=s, p_increasing=at_least / sum(counts))
-    var = m * (m - 1) * (2 * m + 5) / 18.0
+    ties = sum(t * (t - 1) * (2 * t + 5) for t in multiplicities)
+    var = (m * (m - 1) * (2 * m + 5) - ties) / 18.0
     if s > 0:
         z = (s - 1) / math.sqrt(var)
     elif s < 0:

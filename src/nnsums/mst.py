@@ -1,24 +1,23 @@
 """Euclidean minimum spanning trees and the neighbor power sum L^b.
 
-Edges are ordered strictly by (squared length, i, j), so the tree and
-the order in which Prim's algorithm from vertex 0 discovers it are
-deterministic even on degenerate configurations such as grid points. In
-d = 2 and 3 the search is restricted to the Delaunay edges, which contain
-every minimum spanning tree edge (Shamos & Hoey, 1975), at an expected
-O(n log n) cost. Elsewhere, and on inputs Qhull cannot triangulate
-cleanly, Prim runs over the complete graph, computing each row of squared
-distances when its vertex joins the tree, so memory is O(n) and time
-O(n^2). Both paths return the same three arrays, endpoints and lengths
-in discovery order, with no tuple per edge; ``EdgeList.edges`` builds
-the (i, j, length) tuples on demand. Alongside the tree sits
-the unnormalized neighbor power sum L^b = sum_x D_j(x)^b, which shares
-the tree's subadditivity geometry and is the quantity the growth
-diagnostics are phrased in.
+Edges are ordered strictly by (squared length, i, j), so the tree is
+unique even on degenerate configurations such as grid points, and it is
+listed in that order: the order in which Kruskal's algorithm adds its
+edges, so every prefix is a minimum spanning forest. In d = 2 and 3 the
+search is restricted to the Delaunay edges, which contain every minimum
+spanning tree edge (Shamos & Hoey, 1975), at an expected O(n log n) cost.
+Elsewhere, and on inputs Qhull cannot triangulate cleanly, Prim runs over
+the complete graph, computing each row of squared distances when its
+vertex joins the tree, so memory is O(n) and time O(n^2). Both paths
+return the same three arrays, endpoints and lengths, with no tuple per
+edge; ``EdgeList.edges`` builds the (i, j, length) tuples on demand.
+Alongside the tree sits the unnormalized neighbor power sum
+L^b = sum_x D_j(x)^b, which shares the tree's subadditivity geometry and
+is the quantity the growth diagnostics are phrased in.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -37,12 +36,12 @@ _MIN_SEPARATION = 1e-7
 
 @dataclass(frozen=True, eq=False)
 class EdgeList:
-    """A spanning tree as three read-only arrays, in discovery order.
+    """A spanning tree as three read-only arrays, in Kruskal's order.
 
     Edge k joins ``i[k] < j[k]`` (intp) and has length ``length[k]``
-    (float64). The order is part of the contract: Prim's discovery order
-    from vertex 0 under the strict order (squared length, i, j). Two trees
-    compare by identity; compare their ``edges`` for equal trees.
+    (float64). The order is part of the contract: the edges increase
+    strictly in (squared length, i, j). Two trees compare by identity;
+    compare their ``edges`` for equal trees.
     """
 
     n_vertices: int
@@ -62,8 +61,8 @@ class EdgeList:
 
     @property
     def total_length(self) -> float:
-        # left to right in discovery order, not np.sum's pairwise order
-        return float(sum(self.length.tolist()))
+        # correctly rounded, so it does not depend on the listing order
+        return math.fsum(self.length.tolist())
 
     def edge_pairs(self) -> set:
         return set(zip(self.i.tolist(), self.j.tolist()))
@@ -78,9 +77,9 @@ def build_mst(xs: PointSet) -> EdgeList:
 
     Edges are ordered strictly by (squared length, i, j), so the tree is
     unique even on ties. The arrays of the :class:`EdgeList` list the tree
-    in Prim's discovery order from vertex 0 under that order, on every
-    path, and ``test_golden.py`` pins it through ``edges``. Squared
-    distances are compared; each edge takes one square root at the end.
+    in that order on every path, and ``test_golden.py`` pins it through
+    ``edges``. Squared distances are compared; each edge takes one square
+    root at the end.
 
     In d = 2 and 3 the search runs over the Delaunay edges only, which
     contain every minimum spanning tree edge. It falls back to the O(n^2)
@@ -96,7 +95,7 @@ def build_mst(xs: PointSet) -> EdgeList:
 
 
 def _delaunay_mst(coords: np.ndarray) -> tuple | None:
-    """Prim's (i, j, length) arrays over the Delaunay edges, or None to fall back.
+    """The tree's (i, j, length) arrays over the Delaunay edges, or None to fall back.
 
     Every minimum spanning tree edge uv of distinct points is a Gabriel
     edge: a third point w in the closed disk on diameter uv has |uw| and
@@ -111,10 +110,8 @@ def _delaunay_mst(coords: np.ndarray) -> tuple | None:
     The edges are the vertex pairs a < b of Qhull's simplices, packed as the
     keys a * n + b, sorted and deduplicated, so they unpack in (i, j) order
     and one stable argsort of the squared lengths orders them by (len^2, i, j).
-    The search allocates no container per edge, so the garbage collector
-    has nothing to track: the heap holds each tree edge's position in the
-    sorted order, a plain int that orders as its (len^2, i, j) key does,
-    and the incidence lists are CSR arrays.
+    csgraph's tree over those ranks is the tree under that order, and its
+    ranks sorted list it in that order.
     """
     n, d = coords.shape
     if not 2 <= d <= 3 or n <= d + 1:
@@ -144,43 +141,22 @@ def _delaunay_mst(coords: np.ndarray) -> tuple | None:
     rank = np.empty(len(order), dtype=np.float64)
     rank[order] = np.arange(1, len(order) + 1)
     tree = minimum_spanning_tree(coo_matrix((rank, (i, j)), shape=(n, n))).tocoo()
-    # the n - 1 tree edges in that order: edge k's key is its index k
     picked = order[np.sort(tree.data.astype(np.intp) - 1)]
-    ti, tj, sq_tree = i[picked], j[picked], sq[picked]
-    # row v of the incidence lists the tree edges at vertex v
-    ends = np.concatenate([ti, tj])
-    by_end = np.argsort(ends, kind="stable")
-    ptr = np.searchsorted(ends[by_end], np.arange(n + 1)).tolist()
-    inc = (by_end % len(picked)).tolist()
-    first, second = ti.tolist(), tj.tolist()
-    # Prim over the tree recovers the discovery order of Prim over all pairs;
-    # in a tree only the edge just popped reaches back into it
-    heap = inc[ptr[0] : ptr[1]]
-    heapq.heapify(heap)
-    in_tree = bytearray(n)
-    in_tree[0] = 1
-    found = []
-    while heap:
-        k = heapq.heappop(heap)
-        found.append(k)
-        v = second[k] if in_tree[first[k]] else first[k]
-        in_tree[v] = 1
-        for e in inc[ptr[v] : ptr[v + 1]]:
-            if e != k:
-                heapq.heappush(heap, e)
-    f = np.array(found, dtype=np.intp)
-    # np.sqrt and math.sqrt are both correctly rounded, so Prim's lengths keep their bits
-    return ti[f], tj[f], np.sqrt(sq_tree[f])
+    return i[picked], j[picked], np.sqrt(sq[picked])
 
 
 def _prim_mst(xs: PointSet) -> EdgeList:
-    """O(n^2) Prim over the complete graph, one distance row per new vertex."""
+    """O(n^2) Prim over the complete graph, one distance row per new vertex.
+
+    Its tie-break picks the tree under the order (len^2, i, j); the n - 1
+    edges are then sorted once into that order.
+    """
     n = len(xs)
     m = max(n - 1, 0)
     ei, ej = np.empty(m, dtype=np.intp), np.empty(m, dtype=np.intp)
-    length = np.empty(m)
+    sq = np.empty(m)
     if n <= 1:
-        return EdgeList(n, ei, ej, length)
+        return EdgeList(n, ei, ej, sq)
     coords = xs.coords
     in_tree = np.zeros(n, dtype=bool)
     in_tree[0] = True
@@ -200,7 +176,7 @@ def _prim_mst(xs: PointSet) -> EdgeList:
             )
         parent = int(best_parent[pick])
         ei[t], ej[t] = _pair(parent, pick)
-        length[t] = math.sqrt(float(best_sq[pick]))
+        sq[t] = best_sq[pick]
         in_tree[pick] = True
         cand = _sq_dists_to(coords, coords[pick])
         better = ~in_tree & (cand < best_sq)
@@ -210,7 +186,8 @@ def _prim_mst(xs: PointSet) -> EdgeList:
         for v in np.flatnonzero(equal):
             if _pair(pick, int(v)) < _pair(int(best_parent[v]), int(v)):
                 best_parent[v] = pick
-    return EdgeList(n, ei, ej, length)
+    order = np.lexsort((ej, ei, sq))
+    return EdgeList(n, ei[order], ej[order], np.sqrt(sq[order]))
 
 
 def l_power_nn(xs: PointSet, b: float, j: int = 1) -> float:

@@ -334,6 +334,20 @@ def test_hand_read_subcommands_reject_unknown_keys(tmp_path, capsys, command):
     assert captured.out == ""
 
 
+def test_check_cli_on_an_integral_past_the_largest_float(tmp_path, capsys):
+    payload = {"model": "gaussian", "d": 40, "alpha": 39.99999999999996}
+    assert main(["check", "--config", _write_config(tmp_path, "g.json", payload)]) == 0
+    assert json.loads(capsys.readouterr().out)["moment_condition"] is True
+
+
+def test_check_cli_refuses_an_underflowed_power_law_constant(tmp_path, capsys):
+    payload = {"model": "power_law", "d": 500, "beta": 501.0, "alpha": 1.0}
+    assert main(["check", "--config", _write_config(tmp_path, "p.json", payload)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "d = 500, beta = 501.0" in captured.err
+    assert captured.out == ""
+
+
 def test_bad_configs_exit_nonzero(tmp_path, capsys):
     cfg = _write_config(tmp_path, "bad.json", {"model": "nope", "d": 2, "alpha": 1.0})
     assert main(["check", "--config", cfg]) == 2

@@ -54,6 +54,13 @@ def test_moment_condition_cases():
     assert not check_moment_condition(PowerLawTail(2, 3.0), 1.0, 1)
 
 
+def test_moment_condition_on_an_integral_past_the_largest_float():
+    # rho = 1 - alpha/d = 1.1e-15: the Gaussian's integral of f^rho is
+    # finite but too large for a float, and evaluating it raised ConfigError
+    report = condition_report(GaussianStandard(40), 39.99999999999996, 1)
+    assert report.moment_condition
+
+
 def test_power_tail_cases():
     assert check_power_tail(POWER6, 1.0)
     assert check_power_tail(PowerLawTail(2, 5.0), 1.0)  # beta*rho = 2.5 > 2

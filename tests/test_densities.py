@@ -703,6 +703,29 @@ def test_power_i_rho_divergence_boundary():
     assert math.isfinite(p.i_rho(0.75))
 
 
+@pytest.mark.parametrize("rho", [-1.0, -0.5, 0.0, 1e-3, 0.25, 0.5, 1.0, 1.5, 2.0])
+def test_i_rho_is_finite_agrees_with_i_rho(catalog, rho):
+    # read off the parameters, it must agree wherever I_rho is a float
+    for model in catalog.values():
+        assert model.i_rho_is_finite(rho) == math.isfinite(model.i_rho(rho))
+
+
+def test_i_rho_is_finite_past_the_largest_float():
+    g = GaussianStandard(40)
+    with pytest.raises(ConfigError, match="exceeds the largest float"):
+        g.i_rho(1e-15)
+    assert g.i_rho_is_finite(1e-15)
+
+
+@pytest.mark.parametrize("d, beta", [(436, 437.0), (500, 501.0), (300, 1000.0)])
+def test_power_law_refuses_a_constant_that_is_not_a_finite_float(d, beta):
+    # omega_d * B(d, beta - d) underflows: to a subnormal whose inverse is
+    # inf, or to 0, which raised ZeroDivisionError
+    with pytest.raises(ConfigError, match=f"at d = {d}, beta = {beta!r}$"):
+        PowerLawTail(d, beta)
+    assert math.isfinite(PowerLawTail(435, 436.0).c_beta)
+
+
 def test_power_i_rho_against_beta_closed_form(catalog):
     # the radial integral has a Beta-function closed form
     p = catalog["power"]

@@ -264,9 +264,23 @@ def test_mann_kendall_normal_branch_matches_scipy_stats():
         m = len(vals)
         out = mann_kendall_increasing(vals)
         assert out.s == _s_stat(vals)
-        sd = math.sqrt(m * (m - 1) * (2 * m + 5) / 18.0)
+        # every group of t tied values takes t(t-1)(2t+5) off the variance
+        ties = sum(t * (t - 1) * (2 * t + 5) for t in Counter(vals).values())
+        sd = math.sqrt((m * (m - 1) * (2 * m + 5) - ties) / 18.0)
         z = (out.s - 1) / sd if out.s > 0 else (out.s + 1) / sd if out.s < 0 else 0.0
         assert out.p_increasing == float(norm.sf(z)), vals
+
+
+def test_mann_kendall_normal_branch_counts_ties():
+    # the exact p of eight tied values then two larger ones is 1/90 = 0.0111;
+    # the variance without the tie term gave 0.0762, with it 0.0192
+    vals = [0.0] * 8 + [1.0, 2.0]
+    counts = experiments._inversion_counts([8, 1, 1])
+    exact = counts[0] / sum(counts)
+    assert exact == pytest.approx(1.0 / 90.0, rel=1e-15)
+    out = mann_kendall_increasing(vals)
+    assert out.s == 17
+    assert out.p_increasing == pytest.approx(0.01916, abs=1e-5)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
 import gc
-import heapq
 import itertools
 import json
 import math
@@ -182,7 +181,7 @@ def test_delaunay_path_matches_prim(name):
 
 
 def _tuple_delaunay_mst(coords):
-    """The Delaunay search as it was written with one heap tuple and one edge
+    """The Delaunay search as it was written with one key tuple and one edge
     tuple per edge, kept as the oracle of the array search's order and bits."""
     n = len(coords)
     tri = Delaunay(coords)
@@ -196,24 +195,8 @@ def _tuple_delaunay_mst(coords):
     rank[order] = np.arange(1, len(order) + 1)
     tree = scipy_mst(coo_matrix((rank, (i, j)), shape=(n, n))).tocoo()
     picked = order[tree.data.astype(np.intp) - 1]
-    adjacent = [[] for _ in range(n)]
-    for key in zip(sq[picked].tolist(), i[picked].tolist(), j[picked].tolist()):
-        adjacent[key[1]].append(key)
-        adjacent[key[2]].append(key)
-    heap = list(adjacent[0])
-    heapq.heapify(heap)
-    in_tree = [False] * n
-    in_tree[0] = True
-    edges = []
-    while heap:
-        s, a, b = heapq.heappop(heap)
-        edges.append((a, b, math.sqrt(s)))
-        v = b if in_tree[a] else a
-        in_tree[v] = True
-        for key in adjacent[v]:
-            if not (in_tree[key[1]] and in_tree[key[2]]):
-                heapq.heappush(heap, key)
-    return tuple(edges)
+    keys = sorted(zip(sq[picked].tolist(), i[picked].tolist(), j[picked].tolist()))
+    return tuple((a, b, math.sqrt(s)) for s, a, b in keys)
 
 
 def _search_sets():
@@ -259,8 +242,6 @@ def test_edges_are_python_numbers_and_the_arrays_read_only():
     tree = build_mst(PointSet(np.random.default_rng(3).random((2000, 2))))
     rows = [list(e) for e in tree.edges]
     assert json.loads(json.dumps(rows)) == rows
-    # the total adds the lengths left to right in discovery order
-    assert tree.total_length == sum(length for _, _, length in rows)
     assert tree.i.dtype == tree.j.dtype == np.intp and tree.length.dtype == np.float64
     for arr in (tree.i, tree.j, tree.length):
         with pytest.raises(ValueError, match="read-only"):
@@ -299,6 +280,33 @@ def test_fallbacks_reach_prim(monkeypatch, name):
     monkeypatch.setattr(mst, "_prim_mst", _no_prim)
     with pytest.raises(AssertionError, match="Prim reached"):
         build_mst(PointSet(_fallback_inputs()[name]))
+
+
+def _order_sets():
+    sets = {f"equal/{k}": v for k, v in _equal_sets().items()}
+    sets.update({f"search/{k}": v for k, v in _search_sets().items()})
+    sets.update({f"fallback/{k}": v for k, v in _fallback_inputs().items()})
+    return sets
+
+
+@pytest.mark.parametrize("name", sorted(_order_sets()))
+def test_both_paths_list_edges_in_kruskal_order(name):
+    pts = _order_sets()[name]
+    xs = PointSet(pts)
+    # complete-graph Prim at n = 50 000 would take minutes
+    trees = [build_mst(xs)] + ([mst._prim_mst(xs)] if len(xs) <= 2000 else [])
+    for tree in trees:
+        sq = mst._sq_dists_to(pts[tree.i], pts[tree.j].T)
+        keys = list(zip(sq.tolist(), tree.i.tolist(), tree.j.tolist()))
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert np.array_equal(tree.length, np.sqrt(sq))
+
+
+def test_total_length_does_not_depend_on_the_edge_order():
+    tree = build_mst(PointSet(np.random.default_rng(3).random((2000, 2))))
+    lengths = tree.length.tolist()
+    np.random.default_rng(4).shuffle(lengths)
+    assert tree.total_length == math.fsum(lengths)
 
 
 @pytest.mark.parametrize("path", ["delaunay", "prim-fallback"])
