@@ -774,6 +774,8 @@ class AnnulusBallCounterexample(DensityModel):
         # below 2^-6 it is taken as -expm1, above it keeps its bits
         small = rr < 2.0**-6
         gap = -math.expm1(-rr * math.log(2.0)) if small else 1.0 - 2.0 ** (-rr)
+        if not gap:
+            raise ConfigError(f"I_rho at rho = {rho!r} exceeds the largest float: r rho underflows")
         try:
             value = self._omega * self.c_norm**rho * 2.0 ** (-2.0 * rr) / gap
         except OverflowError:

@@ -1,19 +1,17 @@
 """Euclidean minimum spanning trees and the neighbor power sum L^b.
 
-Edges are ordered strictly by (squared length, i, j), so the tree is
-unique even on degenerate configurations such as grid points, and it is
-listed in that order: the order in which Kruskal's algorithm adds its
-edges, so every prefix is a minimum spanning forest. In d = 2 and 3 the
-search is restricted to the Delaunay edges, which contain every minimum
-spanning tree edge (Shamos & Hoey, 1975), at an expected O(n log n) cost.
-Elsewhere, and on inputs Qhull cannot triangulate cleanly, Prim runs over
-the complete graph, computing each row of squared distances when its
-vertex joins the tree, so memory is O(n) and time O(n^2). Both paths
-return the same three arrays, endpoints and lengths, with no tuple per
-edge; ``EdgeList.edges`` builds the (i, j, length) tuples on demand.
-Alongside the tree sits the unnormalized neighbor power sum
-L^b = sum_x D_j(x)^b, which shares the tree's subadditivity geometry and
-is the quantity the growth diagnostics are phrased in.
+The edge of points i < j has the key i * n + j. Edges are ordered strictly
+by (squared length, key), so the tree is unique even on grid points, and
+it is listed in that order: the order in which Kruskal's algorithm adds
+its edges, so every prefix is a minimum spanning forest. In d = 2 and 3
+the search is restricted to the Delaunay edges, which contain every
+minimum spanning tree edge (Shamos & Hoey, 1975), at an expected
+O(n log n) cost. Elsewhere, and on inputs Qhull cannot triangulate
+cleanly, Prim runs over the complete graph, one row of squared distances
+per joining vertex: O(n) memory, O(n^2) time. Both paths return three
+arrays, endpoints and lengths. A tree edge whose squared length overflows
+is refused. Alongside the tree sits the unnormalized neighbor power sum
+L^b = sum_x D_j(x)^b, which shares the tree's subadditivity geometry.
 """
 
 from __future__ import annotations
@@ -26,6 +24,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial import Delaunay, QhullError
 
+from .errors import DegenerateStatistic
 from .neighbors import _power, _sq_dists_to, _weighted_sum
 from .points import PointSet
 
@@ -68,30 +67,34 @@ class EdgeList:
         return set(zip(self.i.tolist(), self.j.tolist()))
 
 
-def _pair(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
-
-
 def build_mst(xs: PointSet) -> EdgeList:
     """Minimum spanning tree of the complete Euclidean graph on ``xs``.
 
-    Edges are ordered strictly by (squared length, i, j), so the tree is
-    unique even on ties. The arrays of the :class:`EdgeList` list the tree
-    in that order on every path, and ``test_golden.py`` pins it through
-    ``edges``. Squared distances are compared; each edge takes one square
-    root at the end.
+    Both paths order the edges strictly by (squared length, i * n + j) for
+    i < j, so the tree is unique even on ties, and list it in that order;
+    ``test_golden.py`` pins it through ``edges``. Squared distances are
+    compared; each edge takes one square root at the end.
 
-    In d = 2 and 3 the search runs over the Delaunay edges only, which
-    contain every minimum spanning tree edge. It falls back to the O(n^2)
-    Prim loop in other dimensions, for n <= d + 1, when Qhull fails or
-    leaves a point out of the triangulation (equal points, for one), and
-    when two points are closer than ``_MIN_SEPARATION`` times the longest
-    Delaunay edge.
+    In d = 2 and 3 the search runs over the Delaunay edges only. It falls
+    back to the O(n^2) Prim loop in other dimensions, for n <= d + 1, when
+    Qhull fails or leaves a point out of the triangulation (equal points,
+    for one), and when two points are closer than ``_MIN_SEPARATION`` times
+    the longest Delaunay edge.
+
+    A squared length past the largest float is inf, which never beats a
+    finite one, so the tree is exact while every tree edge is finite. The
+    longest edge is listed last; if it is inf, :class:`DegenerateStatistic`
+    names how many overflowed.
     """
-    arrays = _delaunay_mst(xs.coords)
-    if arrays is None:
-        return _prim_mst(xs)
-    return EdgeList(len(xs), *arrays)
+    with np.errstate(over="ignore"):
+        arrays = _delaunay_mst(xs.coords)
+        tree = _prim_mst(xs) if arrays is None else EdgeList(len(xs), *arrays)
+    if len(tree.length) and np.isinf(tree.length[-1]):
+        far = int(np.count_nonzero(np.isinf(tree.length)))
+        raise DegenerateStatistic(
+            f"{far} of {len(tree.length)} tree edges overflowed to inf (points too far apart)"
+        )
+    return tree
 
 
 def _delaunay_mst(coords: np.ndarray) -> tuple | None:
@@ -148,46 +151,36 @@ def _delaunay_mst(coords: np.ndarray) -> tuple | None:
 def _prim_mst(xs: PointSet) -> EdgeList:
     """O(n^2) Prim over the complete graph, one distance row per new vertex.
 
-    Its tie-break picks the tree under the order (len^2, i, j); the n - 1
-    edges are then sorted once into that order.
+    Each vertex keeps the squared length (inf once in the tree) and the
+    key of its best edge to the tree; the outside vertex least in
+    (len^2, key) joins, and the n - 1 edges are sorted once into that order.
     """
     n = len(xs)
     m = max(n - 1, 0)
-    ei, ej = np.empty(m, dtype=np.intp), np.empty(m, dtype=np.intp)
-    sq = np.empty(m)
-    if n <= 1:
-        return EdgeList(n, ei, ej, sq)
+    keys, sq = np.empty(m, dtype=np.int64), np.empty(m)
     coords = xs.coords
-    in_tree = np.zeros(n, dtype=bool)
-    in_tree[0] = True
-    best_sq = _sq_dists_to(coords, coords[0])
-    best_parent = np.zeros(n, dtype=int)
+    outside = np.ones(n, dtype=bool)
+    best_sq = np.full(n, np.inf)
+    best_key = np.arange(n, dtype=np.int64)  # the edges (0, v)
+    pick = 0
     for t in range(m):
-        outside = np.flatnonzero(~in_tree)
-        m_sq = best_sq[outside].min()
-        ties = outside[best_sq[outside] == m_sq]
-        if len(ties) == 1:
-            pick = int(ties[0])
-        else:
-            # smallest sorted index pair among the minimum-length edges wins
-            pick = min(
-                (int(v) for v in ties),
-                key=lambda v: _pair(int(best_parent[v]), v),
-            )
-        parent = int(best_parent[pick])
-        ei[t], ej[t] = _pair(parent, pick)
-        sq[t] = best_sq[pick]
-        in_tree[pick] = True
+        outside[pick] = False
+        best_sq[pick] = np.inf
         cand = _sq_dists_to(coords, coords[pick])
-        better = ~in_tree & (cand < best_sq)
-        best_sq[better] = cand[better]
-        best_parent[better] = pick
-        equal = ~in_tree & ~better & (cand == best_sq)
-        for v in np.flatnonzero(equal):
-            if _pair(pick, int(v)) < _pair(int(best_parent[v]), int(v)):
-                best_parent[v] = pick
-    order = np.lexsort((ej, ei, sq))
-    return EdgeList(n, ei[order], ej[order], np.sqrt(sq[order]))
+        v = np.flatnonzero(outside & (cand <= best_sq))
+        key_v = np.minimum(v, pick) * n + np.maximum(v, pick)
+        take = (cand[v] < best_sq[v]) | (key_v < best_key[v])
+        v, key_v = v[take], key_v[take]
+        best_sq[v] = cand[v]
+        best_key[v] = key_v
+        # outside only: once every edge left has overflowed, the tree's inf
+        # would tie with them
+        tied = np.flatnonzero(outside & (best_sq == best_sq.min()))
+        pick = tied[np.argmin(best_key[tied])]
+        keys[t], sq[t] = best_key[pick], best_sq[pick]
+    order = np.lexsort((keys, sq))
+    i, j = np.divmod(keys[order], n)
+    return EdgeList(n, i, j, np.sqrt(sq[order]))
 
 
 def l_power_nn(xs: PointSet, b: float, j: int = 1) -> float:

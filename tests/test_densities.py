@@ -775,6 +775,13 @@ def test_counterexample_i_rho_where_c_to_the_rho_overflows():
         assert c.i_rho(rho) == want, (d, r, rho)
 
 
+@pytest.mark.parametrize("rho", [5e-324, 1e-323])
+def test_counterexample_i_rho_refuses_an_underflowed_r_rho(rho):
+    # at 5e-324, r rho rounds to 0 and so does 1 - 2^(-r rho)
+    with pytest.raises(ConfigError, match=f"I_rho at rho = {rho!r} exceeds the largest float"):
+        AnnulusBallCounterexample(2, 0.5).i_rho(rho)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("r", [0.06, 0.5, 1.0, 3.0])
 def test_counterexample_i_rho_at_small_r_rho_against_mpmath(d, r):

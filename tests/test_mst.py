@@ -272,6 +272,9 @@ def _fallback_inputs():
         "d=1": rng.random((40, 1)),
         "d=4": rng.random((40, 4)),
         "n=d+1": rng.random((3, 2)),
+        "grid-4d": np.array(list(itertools.product(range(4), repeat=4)), dtype=float),
+        "equal-points": np.full((40, 2), 0.3),
+        "lattice-1d": np.repeat(np.arange(21.0), 2)[:, None],
     }
 
 
@@ -280,6 +283,56 @@ def test_fallbacks_reach_prim(monkeypatch, name):
     monkeypatch.setattr(mst, "_prim_mst", _no_prim)
     with pytest.raises(AssertionError, match="Prim reached"):
         build_mst(PointSet(_fallback_inputs()[name]))
+
+
+def _kruskal_edges(pts):
+    """The tree as Kruskal's algorithm builds it: every pair sorted by
+    (len^2, i, j) and joined by union-find when it links two components."""
+    i, j = np.triu_indices(len(pts), 1)
+    sq = mst._sq_dists_to(pts[i], pts[j].T)
+    parent = list(range(len(pts)))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    edges = []
+    for k in np.lexsort((j, i, sq)).tolist():
+        ri, rj = find(int(i[k])), find(int(j[k]))
+        if ri != rj:
+            parent[ri] = rj
+            edges.append((int(i[k]), int(j[k]), math.sqrt(sq[k])))
+    return tuple(edges)
+
+
+def _oracle_sets():
+    sets = {f"fallback/{k}": v for k, v in _fallback_inputs().items()}
+    sets.update({f"equal/{k}": v for k, v in _equal_sets().items()})
+    return {k: v for k, v in sets.items() if len(v) <= 400}
+
+
+@pytest.mark.parametrize("name", sorted(_oracle_sets()))
+def test_both_paths_give_kruskals_tree(name):
+    pts = _oracle_sets()[name]
+    xs = PointSet(pts)
+    want = _kruskal_edges(pts)
+    assert build_mst(xs).edges == want
+    assert mst._prim_mst(xs).edges == want
+
+
+def test_an_overflowed_tree_edge_is_refused():
+    xs = PointSet([[0.0, 0.0], [1e200, 0.0], [-1e200, 5.0], [3.0, 1e200], [1.0, 1.0]])
+    with pytest.raises(DegenerateStatistic, match="3 of 4 tree edges overflowed to inf"):
+        build_mst(xs)
+
+
+def test_far_pairs_that_overflow_leave_the_tree_exact():
+    # adjacent squares are 1e306; pairs 14 or more apart overflow to inf
+    tree = build_mst(PointSet(1e153 * np.arange(100.0)[:, None]))
+    assert sorted(tree.edge_pairs()) == [(k, k + 1) for k in range(99)]
+    assert np.isfinite(tree.length).all()
 
 
 def _order_sets():
